@@ -33,8 +33,13 @@ The engine also implements:
   messages and re-runs ``PEval`` instead of ``IncEval``;
 * **monotonicity checking** (Assurance Theorem instrumentation);
 * **fault tolerance** (Section 6): per-superstep checkpoints through an
-  :class:`~repro.runtime.fault.Arbitrator`; injected worker failures roll
-  the failed superstep back and replay it.
+  :class:`~repro.runtime.fault.Arbitrator`; a worker failure — a real
+  process death or an ``exec.step`` crash injected through the
+  :class:`~repro.resilience.faults.FaultPlane` — rolls the failed
+  superstep back and replays it.
+
+Every engine parameter lives on one frozen :class:`EngineConfig`;
+``GrapeEngine(n, **options)`` builds one and keeps it as ``config``.
 """
 
 from __future__ import annotations
@@ -43,9 +48,7 @@ import dataclasses
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
-
-from typing import Union
+from typing import Any, Dict, Hashable, List, Optional, Set, Union
 
 from repro.core.monotonic import MonotonicityChecker
 from repro.core.pie import ParamKey, ParamUpdates, PIEProgram
@@ -63,7 +66,7 @@ from repro.runtime.executors import (PHASE_IDLE, PHASE_INC, PHASE_NI,
                                      ExecutorBackend, StepCommand,
                                      WorkerHung, WorkerProcessDied,
                                      read_report, resolve_backend)
-from repro.runtime.fault import Arbitrator, FailureInjector, WorkerFailure
+from repro.runtime.fault import Arbitrator
 from repro.runtime.message import stable_hash
 from repro.runtime.metrics import (CostModel, ParamSizeCache, RunMetrics,
                                    message_bytes)
@@ -73,32 +76,36 @@ __all__ = ["EngineConfig", "GrapeEngine", "GrapeResult"]
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """A reusable engine specification.
+    """A reusable engine specification — the one source of truth for
+    every :class:`GrapeEngine` parameter.
 
     One config can build any number of engines — the serving layer
     (:mod:`repro.service`) stores a config instead of an engine so each
     query runs on a fresh engine while sharing one declared setup, and so
     the fragmentation cache can be keyed on the partition spec.
-
-    Fields mirror :class:`GrapeEngine`'s constructor parameters.
     """
 
+    #: physical workers ``n``
     num_workers: int = 4
+    #: virtual workers ``m`` (``None`` means ``n``); when larger, several
+    #: fragments share a physical worker (paper Section 3.1)
     num_fragments: Optional[int] = None
+    #: partition strategy ``P``; ``None`` resolves to hash edge-cut.
+    #: Ignored when a prebuilt fragmentation is passed to
+    #: :meth:`GrapeEngine.run`.
     partition: Optional[PartitionStrategy] = None
     cost_model: Optional[CostModel] = None
-    executor: str = "serial"
     #: execution backend: ``"serial"``, ``"thread"``, ``"process"`` or an
     #: :class:`~repro.runtime.executors.ExecutorBackend` instance.
-    #: ``None`` defers to ``executor`` (back-compat) and then to the
-    #: ``REPRO_BACKEND`` environment variable.
+    #: ``None`` defers to the ``REPRO_BACKEND`` environment variable.
     backend: Union[str, ExecutorBackend, None] = None
+    #: ``False`` selects the GRAPE-NI ablation mode
     incremental: bool = True
+    #: verify the monotonic condition at runtime (small overhead)
     check_monotonic: bool = False
+    #: safety bound on supersteps
     max_supersteps: int = 100_000
-    failure_injector: Optional["FailureInjector"] = None
-    #: directory for per-superstep disk checkpoints (fault tolerance
-    #: without an injector; typically
+    #: directory for per-superstep disk checkpoints (typically
     #: :meth:`repro.store.GraphStore.checkpoint_dir`).  Enables recovery
     #: from *real* worker deaths under the process backend.
     checkpoint_dir: Optional[str] = None
@@ -116,7 +123,14 @@ class EngineConfig:
     #: deterministic fault schedule for this run's ``exec.step`` site
     #: (see :class:`~repro.resilience.faults.FaultPlane`); ``None``
     #: falls back to the process-globally installed plane, if any.
+    #: Injected crashes recover through checkpoints on every backend.
     fault_plane: Optional[FaultPlane] = None
+
+    def __post_init__(self):
+        if self.effective_fragments < self.num_workers:
+            raise ValueError("virtual workers m must be >= physical n")
+        if self.partition is None:
+            object.__setattr__(self, "partition", HashPartition())
 
     @property
     def effective_fragments(self) -> int:
@@ -155,126 +169,33 @@ class GrapeResult:
 class GrapeEngine:
     """Parallel evaluation of PIE programs on the simulated cluster.
 
-    Parameters
-    ----------
-    num_workers:
-        Physical workers ``n``.
-    num_fragments:
-        Virtual workers ``m`` (defaults to ``num_workers``); when larger,
-        several fragments share a physical worker (paper Section 3.1).
-    partition:
-        Partition strategy ``P``; defaults to hash edge-cut.  Ignored when
-        a prebuilt fragmentation is passed to :meth:`run`.
-    incremental:
-        ``False`` selects the GRAPE-NI ablation mode.
-    check_monotonic:
-        Verify the monotonic condition at runtime (small overhead).
-    max_supersteps:
-        Safety bound on supersteps.
-    failure_injector:
-        Optional fault-injection plan; failures trigger checkpoint
-        recovery instead of aborting.
+    ``GrapeEngine(num_workers, **options)`` accepts every
+    :class:`EngineConfig` field as a keyword option and keeps the
+    resulting spec as :attr:`config`, which every read goes through.
     """
 
-    def __init__(self, num_workers: int, *,
-                 num_fragments: Optional[int] = None,
-                 partition: Optional[PartitionStrategy] = None,
-                 cost_model: Optional[CostModel] = None,
-                 executor: str = "serial",
-                 backend: Union[str, ExecutorBackend, None] = None,
-                 incremental: bool = True,
-                 check_monotonic: bool = False,
-                 max_supersteps: int = 100_000,
-                 failure_injector: Optional[FailureInjector] = None,
-                 checkpoint_dir: Optional[str] = None,
-                 deadline_s: Optional[float] = None,
-                 heartbeat_timeout_s: Optional[float] = None,
-                 fault_plane: Optional[FaultPlane] = None):
-        self.num_workers = num_workers
-        self.num_fragments = num_fragments or num_workers
-        if self.num_fragments < self.num_workers:
-            raise ValueError("virtual workers m must be >= physical n")
-        self.partition = partition or HashPartition()
-        self.cost_model = cost_model
-        self.executor = executor
-        self.backend = backend
-        self.incremental = incremental
-        self.check_monotonic = check_monotonic
-        self.max_supersteps = max_supersteps
-        self.failure_injector = failure_injector
-        self.checkpoint_dir = checkpoint_dir
-        self.deadline_s = deadline_s
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.fault_plane = fault_plane
+    def __init__(self, num_workers: int, **options: Any):
+        self.config = EngineConfig(num_workers=num_workers, **options)
 
-    # ------------------------------------------------------------------
     @classmethod
     def from_config(cls, config: EngineConfig) -> "GrapeEngine":
-        """Build an engine from a reusable :class:`EngineConfig`."""
-        return cls(config.num_workers,
-                   num_fragments=config.num_fragments,
-                   partition=config.partition,
-                   cost_model=config.cost_model,
-                   executor=config.executor,
-                   backend=config.backend,
-                   incremental=config.incremental,
-                   check_monotonic=config.check_monotonic,
-                   max_supersteps=config.max_supersteps,
-                   failure_injector=config.failure_injector,
-                   checkpoint_dir=config.checkpoint_dir,
-                   deadline_s=config.deadline_s,
-                   heartbeat_timeout_s=config.heartbeat_timeout_s,
-                   fault_plane=config.fault_plane)
+        """Build an engine that runs with the given :class:`EngineConfig`."""
+        engine = cls.__new__(cls)
+        engine.config = config
+        return engine
 
-    @property
-    def config(self) -> EngineConfig:
-        """This engine's parameters as a reusable spec."""
-        return EngineConfig(num_workers=self.num_workers,
-                            num_fragments=self.num_fragments,
-                            partition=self.partition,
-                            cost_model=self.cost_model,
-                            executor=self.executor,
-                            backend=self.backend,
-                            incremental=self.incremental,
-                            check_monotonic=self.check_monotonic,
-                            max_supersteps=self.max_supersteps,
-                            failure_injector=self.failure_injector,
-                            checkpoint_dir=self.checkpoint_dir,
-                            deadline_s=self.deadline_s,
-                            heartbeat_timeout_s=self.heartbeat_timeout_s,
-                            fault_plane=self.fault_plane)
-
-    # ------------------------------------------------------------------
     def _resolve_backend(self) -> ExecutorBackend:
-        """Pick the execution backend for a run.
-
-        Precedence: explicit ``backend`` > ``executor="threads"``
-        back-compat > the ``REPRO_BACKEND`` environment variable >
-        serial.  Fault injection needs coordinator-side states for
-        checkpoint recovery, so it forces an inline backend: an explicit
-        non-inline choice raises, an environment-sourced one quietly
-        falls back to serial.
-        """
-        spec = self.backend
-        explicit = spec is not None
-        if spec is None and self.executor == "threads":
-            spec, explicit = "thread", True
-        backend = resolve_backend(spec)
-        if self.failure_injector is not None and not backend.inline:
-            if explicit:
-                raise ValueError(
-                    "fault injection requires an inline backend "
-                    "(backend='serial' or 'thread'); the process "
-                    "backend's worker-resident states cannot be "
-                    "checkpoint-restored by the coordinator")
-            backend = resolve_backend("serial")
-        return backend
+        """Pick the execution backend for a run: the configured
+        ``backend``, else the ``REPRO_BACKEND`` environment variable,
+        else serial."""
+        return resolve_backend(self.config.backend)
 
     # ------------------------------------------------------------------
     def make_fragmentation(self, graph: Graph) -> Fragmentation:
         """Partition ``graph`` once, reusable across queries (paper:
         "G is partitioned once for all queries Q posed on G")."""
-        return self.partition.partition(graph, self.num_fragments)
+        return self.config.partition.partition(
+            graph, self.config.effective_fragments)
 
     # ------------------------------------------------------------------
     def run(self, program: PIEProgram, query: Any,
@@ -317,27 +238,26 @@ class GrapeEngine:
                 raise ValueError("pass either graph or fragmentation")
             fragmentation = self.make_fragmentation(graph)
 
+        config = self.config
         backend = self._resolve_backend()
         wall_start = time.perf_counter()
-        plane = self.fault_plane or fault_plane_mod.active()
-        deadline = (time.monotonic() + self.deadline_s
-                    if self.deadline_s is not None else None)
+        plane = config.fault_plane or fault_plane_mod.active()
+        deadline = (time.monotonic() + config.deadline_s
+                    if config.deadline_s is not None else None)
         # Checkpoint fault tolerance turns on whenever something can
-        # fail mid-run *and* recovery is possible: an injector, a disk
-        # checkpoint dir, or a fault plane with pending executor faults
-        # (in-memory checkpoints suffice for inline backends; the
-        # process backend additionally needs a checkpoint_dir only for
-        # real cross-process restores — in-memory copies restore
-        # through replace_states just as well).
-        ft_enabled = (self.failure_injector is not None
-                      or self.checkpoint_dir is not None
+        # fail mid-run *and* recovery is possible: a disk checkpoint
+        # dir, or a fault plane with pending executor faults (in-memory
+        # checkpoints restore through replace_states on every backend;
+        # a checkpoint_dir is needed only for restores that must
+        # outlive the coordinator's memory).
+        ft_enabled = (config.checkpoint_dir is not None
                       or (plane is not None and plane.may_fire("exec.")))
-        cluster = SimulatedCluster(self.num_workers,
-                                   cost_model=self.cost_model,
+        cluster = SimulatedCluster(config.num_workers,
+                                   cost_model=config.cost_model,
                                    backend=backend)
-        arbitrator = Arbitrator(checkpoint_dir=self.checkpoint_dir)
+        arbitrator = Arbitrator(checkpoint_dir=config.checkpoint_dir)
         checker = MonotonicityChecker(program.aggregator,
-                                      enabled=self.check_monotonic)
+                                      enabled=config.check_monotonic)
 
         frags = fragmentation.fragments
         # The live session sits in a one-slot box: recovery from a real
@@ -346,12 +266,11 @@ class GrapeEngine:
         open_span = (trace.child("session.open", backend=backend.name)
                      if trace is not None else None)
         session_box = [backend.open(program, query, fragmentation,
-                                    num_workers=self.num_workers,
-                                    failure_injector=self.failure_injector,
+                                    num_workers=config.num_workers,
                                     trace=open_span)]
         if open_span is not None:
             open_span.finish()
-        session_box[0].hang_timeout = self.heartbeat_timeout_s
+        session_box[0].hang_timeout = config.heartbeat_timeout_s
 
         def reopen():
             try:
@@ -365,9 +284,8 @@ class GrapeEngine:
                 try:
                     session_box[0] = backend.open(
                         program, query, fragmentation,
-                        num_workers=self.num_workers,
-                        failure_injector=self.failure_injector)
-                    session_box[0].hang_timeout = self.heartbeat_timeout_s
+                        num_workers=config.num_workers)
+                    session_box[0].hang_timeout = config.heartbeat_timeout_s
                     return
                 except WorkerProcessDied:
                     if attempt == 4:
@@ -449,7 +367,7 @@ class GrapeEngine:
                 {f.fid: StepCommand(phase=PHASE_PEVAL) for f in frags},
                 bytes_in=pre_bytes, msgs_in=1 if payloads else 0,
                 restore=restore, reopen=reopen, plane=plane,
-                deadline=deadline, budget_s=self.deadline_s,
+                deadline=deadline, budget_s=config.deadline_s,
                 cancel=cancel)
 
             up_bytes, up_msgs, dirty = self._fold_outcomes(
@@ -467,7 +385,7 @@ class GrapeEngine:
             # ------------- IncEval supersteps --------------------------
             rounds = 1
             while (messages or designated or keyvalue) \
-                    and rounds < self.max_supersteps:
+                    and rounds < config.max_supersteps:
                 rounds += 1
                 down_bytes = sum(sizer.updates_bytes(msg)
                                  for msg in messages.values())
@@ -480,7 +398,7 @@ class GrapeEngine:
                 active = set(messages) | set(designated) | set(keyvalue)
                 # GRAPE-NI ablation: apply the message and redo PEval
                 # from scratch instead of IncEval.
-                phase = PHASE_INC if self.incremental else PHASE_NI
+                phase = PHASE_INC if config.incremental else PHASE_NI
                 commands = {
                     f.fid: (StepCommand(phase=phase,
                                         message=messages.get(f.fid, {}),
@@ -494,7 +412,7 @@ class GrapeEngine:
                     bytes_in=up_bytes + down_bytes,
                     msgs_in=up_msgs + down_msgs,
                     restore=restore, reopen=reopen, plane=plane,
-                    deadline=deadline, budget_s=self.deadline_s,
+                    deadline=deadline, budget_s=config.deadline_s,
                     cancel=cancel)
 
                 up_bytes, up_msgs, dirty = self._fold_outcomes(
@@ -512,7 +430,7 @@ class GrapeEngine:
 
             if messages or designated or keyvalue:
                 raise RuntimeError(
-                    f"no fixpoint after {self.max_supersteps} supersteps; "
+                    f"no fixpoint after {config.max_supersteps} supersteps; "
                     "check the monotonic condition of the PIE program")
 
             # ------------- Assemble ------------------------------------
@@ -566,8 +484,9 @@ class GrapeEngine:
 
         Two failure shapes are handled:
 
-        * an **injected** :exc:`WorkerFailure` (inline backends) surfaces
-          in the outcomes — the failed attempt is recorded (its compute
+        * an **injected** ``exec.step`` crash on an inline backend
+          surfaces as a :exc:`~repro.runtime.fault.WorkerFailure` in the
+          outcomes — the failed attempt is recorded (its compute
           happened), the checkpoint is restored and the step replays;
         * a **real worker death**
           (:exc:`~repro.runtime.executors.WorkerProcessDied`, process
@@ -590,11 +509,10 @@ class GrapeEngine:
         The fault plane's ``exec.step`` site is consulted here, exactly
         once per fragment per *logical* superstep; a fired action rides
         the :class:`StepCommand` to wherever the fragment executes.
-        Every replay strips the embedded faults first — matching the
-        injector's "each failure fires exactly once" semantics, so
-        recovery always converges.  ``deadline`` (absolute monotonic)
-        and ``cancel`` are checked before every attempt; an
-        unrecoverable hang is reported as
+        Every replay strips the embedded faults first — each failure
+        fires exactly once, so recovery always converges.  ``deadline``
+        (absolute monotonic) and ``cancel`` are checked before every
+        attempt; an unrecoverable hang is reported as
         :exc:`~repro.resilience.errors.DeadlineExceeded` when the query
         had a time budget (the caller asked for bounded latency, and
         that is the bound that broke).
@@ -668,7 +586,7 @@ class GrapeEngine:
     # ------------------------------------------------------------------
     def _collect_reports(self, program, query, frags, states, reported,
                          global_table, checker, *, first_round: bool,
-                         sizer: Optional[ParamSizeCache] = None,
+                         sizer: ParamSizeCache,
                          force_full: bool = False):
         """Read every fragment's report in-process and fold it.
 
@@ -691,7 +609,7 @@ class GrapeEngine:
 
     def _fold_outcomes(self, program, frags, outcomes, reported,
                        global_table, checker, *, first_round: bool,
-                       sizer: Optional[ParamSizeCache] = None):
+                       sizer: ParamSizeCache):
         """Fold the reports a backend session's superstep produced."""
         reports = {fid: outcome.report for fid, outcome in outcomes.items()}
         return self._fold_reports(program, [f.fid for f in frags], reports,
@@ -700,7 +618,7 @@ class GrapeEngine:
 
     def _fold_reports(self, program, fid_order, reports, reported,
                       global_table, checker, *, first_round: bool,
-                      sizer: Optional[ParamSizeCache] = None):
+                      sizer: ParamSizeCache):
         """Fold per-fragment parameter reports into the global table,
         return (bytes, msgs, dirty).
 
@@ -708,8 +626,7 @@ class GrapeEngine:
         :meth:`~repro.core.pie.PIEProgram.read_changed_params`) is folded
         directly; a ``("full", params)`` report is diffed against the
         fragment's last report first.  Report bytes are charged through
-        ``sizer`` when given (memoized per entry) and by monolithic
-        pickling otherwise.
+        ``sizer`` (memoized per entry).
         """
         agg = program.aggregator
         dirty: Set[ParamKey] = set()
@@ -728,8 +645,7 @@ class GrapeEngine:
                     reported[fid].update(changed)
             if not changed:
                 continue
-            up_bytes += (sizer.updates_bytes(changed) if sizer is not None
-                         else message_bytes(changed))
+            up_bytes += sizer.updates_bytes(changed)
             up_msgs += 1
             for key, value in changed.items():
                 if key in global_table:

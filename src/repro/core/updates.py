@@ -445,8 +445,8 @@ class ContinuousQuerySession:
         """The monotone fast path: fold deltas into live state and
         resume the message fixpoint from the current converged state."""
         program, query = self.program, self.query
-        checker = MonotonicityChecker(program.aggregator,
-                                      enabled=self.engine.check_monotonic)
+        checker = MonotonicityChecker(
+            program.aggregator, enabled=self.engine.config.check_monotonic)
 
         start = time.perf_counter()
         for fid, delta in touched.items():
@@ -466,7 +466,7 @@ class ContinuousQuerySession:
             program, self.fragmentation, self._reported, dirty,
             self._table)
         self.metrics.record_superstep([local_s], up_bytes, up_msgs,
-                                      self.engine.cost_model
+                                      self.engine.config.cost_model
                                       or _DEFAULT_COST)
         self._resume_fixpoint(messages, checker)
         self.answer = program.assemble(query, self.fragmentation,
@@ -483,7 +483,7 @@ class ContinuousQuerySession:
         rounds = 0
         while messages:
             rounds += 1
-            if rounds > self.engine.max_supersteps:
+            if rounds > self.engine.config.max_supersteps:
                 raise RuntimeError("maintenance did not reach a fixpoint")
             down_bytes = sum(self._sizer.updates_bytes(msg)
                              for msg in messages.values())
@@ -501,7 +501,7 @@ class ContinuousQuerySession:
                 self._table)
             self.metrics.record_superstep(
                 times, down_bytes + up_bytes, len(messages) + up_msgs,
-                self.engine.cost_model or _DEFAULT_COST)
+                self.engine.config.cost_model or _DEFAULT_COST)
 
     def _maintain_bounded(self, touched: Dict[int, FragmentDelta]) -> Any:
         """Bounded non-monotone maintenance: reset *only* the affected
@@ -553,8 +553,8 @@ class ContinuousQuerySession:
         """
         program, query = self.program, self.query
         frags = self.fragmentation.fragments
-        checker = MonotonicityChecker(program.aggregator,
-                                      enabled=self.engine.check_monotonic)
+        checker = MonotonicityChecker(
+            program.aggregator, enabled=self.engine.config.check_monotonic)
         start = time.perf_counter()
 
         # Param names for the promotion probe of step 2 (the key layout
@@ -638,7 +638,7 @@ class ContinuousQuerySession:
             program, self.fragmentation, self._reported, dirty,
             self._table)
         self.metrics.record_superstep([local_s], up_bytes, up_msgs,
-                                      self.engine.cost_model
+                                      self.engine.config.cost_model
                                       or _DEFAULT_COST)
         self._resume_fixpoint(messages, checker)
         self.answer = program.assemble(query, self.fragmentation,

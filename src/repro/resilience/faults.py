@@ -33,10 +33,15 @@ is what lets the chaos harness assert bitwise equality against a
 fault-free oracle.  Randomized schedules (:meth:`FaultPlane.rate`) draw
 from per-spec ``random.Random`` streams derived from the plane seed, so
 they too are reproducible.  Every fault fires a bounded number of times
-(``times`` per spec, ``max_fires`` per plane), mirroring
-:class:`~repro.runtime.fault.FailureInjector`'s "each failure fires
-exactly once" discipline — retries and recovery always drain the
-schedule instead of livelocking.
+(``times`` per spec, ``max_fires`` per plane) — retries and recovery
+always drain the schedule instead of livelocking.
+
+The plane is the repo's one fault-injection model.  An ``exec.step``
+``crash`` planned with ``key=fid, at=s`` kills fragment ``fid`` in its
+``s``-th superstep (PEval is superstep 1) on every backend: a pooled
+worker exits hard and the engine replaces it, an inline backend reports
+a :exc:`~repro.runtime.fault.WorkerFailure`; either way the engine
+restores its last checkpoint and replays the superstep.
 
 Production code calls the module-level :func:`check`, a fast no-op while
 no plane is installed (one attribute read), so the fault-free path pays

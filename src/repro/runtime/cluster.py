@@ -4,16 +4,18 @@ A :class:`SimulatedCluster` plays the role of the paper's ``n`` physical
 workers plus MPI controller.  Engines (GRAPE and the baselines) submit one
 *task per virtual worker* per superstep; the cluster
 
-* executes every task (serially or on a thread pool), timing each with a
-  performance counter,
+* executes every task on an inline backend (serially or on a thread
+  pool), timing each with a performance counter,
 * maps virtual workers onto physical workers (paper Section 3.1: ``m``
   virtual workers on ``n`` physical workers share memory when ``n < m``),
 * folds the timings into :class:`~repro.runtime.metrics.RunMetrics` using
   the BSP cost model: a superstep costs the *max over physical workers* of
   their assigned virtual workers' summed compute time, plus communication.
 
-Fault injection (paper Section 6, "Fault tolerance") is supported through a
-:class:`~repro.runtime.fault.FailureInjector` — see that module.
+Fault injection (paper Section 6, "Fault tolerance") lives with the GRAPE
+engine's recovery loop, driven by the
+:class:`~repro.resilience.faults.FaultPlane`; the cluster only records
+what each attempted superstep cost.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ import time
 from typing import Any, Callable, List, Optional, Sequence, Union
 
 from repro.runtime.executors import ExecutorBackend, resolve_backend
-from repro.runtime.fault import FailureInjector, WorkerFailure
-from repro.runtime.metrics import CostModel, RunMetrics, message_bytes
+from repro.runtime.metrics import CostModel, RunMetrics
 
 __all__ = ["SimulatedCluster", "LoadBalancer"]
 
@@ -57,46 +58,25 @@ class SimulatedCluster:
         Number of *physical* workers ``n``.
     cost_model:
         BSP cost parameters; defaults to :class:`CostModel` defaults.
-    executor:
-        Back-compat spelling of ``backend``: ``"serial"`` (default,
-        deterministic) or ``"threads"`` (thread pool).  Thread timing
-        still uses per-task perf-counter measurement, so the cost model
-        is unaffected.
     backend:
         An :class:`~repro.runtime.executors.ExecutorBackend` name or
-        instance executing the per-worker tasks; overrides ``executor``
-        when given.  Closure tasks submitted through
-        :meth:`run_superstep` require an *inline* backend — the process
-        backend only speaks the PIE session protocol driven by
+        instance executing the per-worker tasks (default: serial).
+        Closure tasks submitted through :meth:`run_superstep` require an
+        *inline* backend — the process backend only speaks the PIE
+        session protocol driven by
         :class:`~repro.core.engine.GrapeEngine`.
-    failure_injector:
-        Optional fault-injection plan; tasks raising
-        :class:`WorkerFailure` are surfaced to the engine for recovery.
     """
 
-    def __init__(self, num_workers: int, cost_model: Optional[CostModel] = None,
-                 executor: str = "serial",
-                 failure_injector: Optional[FailureInjector] = None,
-                 backend: Union[str, ExecutorBackend, None] = None):
+    def __init__(self, num_workers: int,
+                 cost_model: Optional[CostModel] = None,
+                 backend: Union[str, ExecutorBackend] = "serial"):
         if num_workers < 1:
             raise ValueError("need at least one worker")
-        if executor not in ("serial", "threads"):
-            raise ValueError(f"unknown executor {executor!r}")
         self.num_workers = num_workers
         self.cost_model = cost_model or CostModel()
-        self.executor = executor
-        if backend is None:
-            backend = "thread" if executor == "threads" else "serial"
         self.backend = resolve_backend(backend)
-        self.failure_injector = failure_injector
         self.metrics = RunMetrics(backend=self.backend.name)
         self.balancer = LoadBalancer()
-        self._superstep_index = 0
-
-    # ------------------------------------------------------------------
-    def reset_metrics(self) -> None:
-        self.metrics = RunMetrics(backend=self.backend.name)
-        self._superstep_index = 0
 
     # ------------------------------------------------------------------
     def run_superstep(self, tasks: Sequence[Callable[[], Any]],
@@ -109,26 +89,25 @@ class SimulatedCluster:
         ``num_messages`` describe the traffic *delivered at the start of*
         this superstep (routed by the coordinator), charged to it per the
         BSP cost formula.
-
-        Raises :class:`WorkerFailure` (after accounting the partial step)
-        if the failure injector kills a worker this superstep; the engine
-        is expected to recover and retry.
         """
-        step = self._superstep_index
-        self._superstep_index += 1
+        def timed(task: Callable[[], Any]):
+            start = time.perf_counter()
+            value = task()
+            return time.perf_counter() - start, value
 
-        times, results, failure = self._execute(tasks, step)
-        self.record_superstep(times, bytes_shipped, num_messages,
-                              virtual_costs=virtual_costs,
-                              _count_step=False)
-        if failure is not None:
-            raise failure
-        return results
+        # Delegated to the backend; raises TypeError for non-inline
+        # backends, whose workers cannot receive in-process closures.
+        outcomes = self.backend.run_tasks(
+            [lambda t=t: timed(t) for t in tasks], self.num_workers)
+        self.record_superstep([elapsed for elapsed, _ in outcomes],
+                              bytes_shipped, num_messages,
+                              virtual_costs=virtual_costs)
+        return [value for _, value in outcomes]
 
     def record_superstep(self, times: Sequence[float], bytes_shipped: int,
                          num_messages: int,
-                         virtual_costs: Optional[Sequence[float]] = None,
-                         _count_step: bool = True) -> None:
+                         virtual_costs: Optional[Sequence[float]] = None
+                         ) -> None:
         """Fold one executed superstep's timings into the metrics.
 
         Used directly by engines that execute supersteps through an
@@ -136,8 +115,6 @@ class SimulatedCluster:
         backend, not the cluster, owns execution): ``times`` are the
         per-virtual-worker compute seconds the session reported.
         """
-        if _count_step:
-            self._superstep_index += 1
         # Fold virtual-worker times into physical-worker times.
         if virtual_costs is None:
             virtual_costs = times
@@ -147,37 +124,6 @@ class SimulatedCluster:
             physical[placement[i]] += t
         self.metrics.record_superstep(physical, bytes_shipped, num_messages,
                                       self.cost_model)
-
-    def _execute(self, tasks: Sequence[Callable[[], Any]], step: int):
-        times: List[float] = []
-        results: List[Any] = []
-        failure: Optional[WorkerFailure] = None
-
-        def run_one(i: int, task: Callable[[], Any]):
-            if self.failure_injector is not None and \
-                    self.failure_injector.should_fail(worker=i, superstep=step):
-                return 0.0, None, WorkerFailure(worker=i, superstep=step)
-            start = time.perf_counter()
-            value = task()
-            return time.perf_counter() - start, value, None
-
-        # Delegated to the backend; raises TypeError for non-inline
-        # backends, whose workers cannot receive in-process closures.
-        outcomes = self.backend.run_tasks(
-            [lambda i=i, t=t: run_one(i, t) for i, t in enumerate(tasks)],
-            self.num_workers)
-
-        for elapsed, value, fail in outcomes:
-            times.append(elapsed)
-            results.append(value)
-            if fail is not None and failure is None:
-                failure = fail
-        return times, results, failure
-
-    # ------------------------------------------------------------------
-    def account_payload(self, payload: Any) -> int:
-        """Measure a payload's wire size (helper for engines)."""
-        return message_bytes(payload)
 
     def __repr__(self) -> str:
         return (f"SimulatedCluster(n={self.num_workers}, "

@@ -68,7 +68,7 @@ from repro.resilience import faults as _fault_plane
 from repro.resilience.errors import DeadlineExceeded, QueryCancelled
 from repro.resilience.faults import FaultAction
 from repro.runtime import shm
-from repro.runtime.fault import FailureInjector, WorkerFailure
+from repro.runtime.fault import WorkerFailure
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -103,11 +103,12 @@ class UnpicklableProgramError(TypeError):
 class WorkerProcessDied(RuntimeError):
     """A pooled worker process died mid-exchange (crash or ``kill -9``).
 
-    Distinct from :exc:`~repro.runtime.fault.WorkerFailure` (a *simulated*
-    failure injected into an inline backend): this is a real OS-level
-    death.  The engine recovers from it when disk checkpoints are enabled
-    — the session is re-opened on fresh workers and the last consistent
-    checkpoint restored — and re-raises it otherwise.
+    Distinct from :exc:`~repro.runtime.fault.WorkerFailure` (an injected
+    crash acted out by an inline backend): this is a real OS-level death
+    — a crash, a ``kill -9`` or an injected ``exec.step`` crash acted out
+    by the worker itself.  The engine recovers from it when a checkpoint
+    is available — the session is re-opened on fresh workers and the last
+    consistent checkpoint restored — and re-raises it otherwise.
     """
 
 
@@ -235,6 +236,20 @@ def _execute_command(program, query, fragment, state,
                               ("worker.report", report_s, {})])
 
 
+def _reject_failure_injector(failure_injector) -> None:
+    """Refuse a non-``None`` ``failure_injector`` passed to ``open``.
+
+    Worker failures are injected through the
+    :class:`~repro.resilience.faults.FaultPlane`'s ``exec.step`` site on
+    every backend; the keyword only remains so wrappers forwarding it
+    keep working.
+    """
+    if failure_injector is not None:
+        raise ValueError(
+            "failure_injector is not supported: schedule worker crashes "
+            "with FaultPlane.plan('exec.step', 'crash', key=fid, at=n)")
+
+
 # ---------------------------------------------------------------------------
 # The backend protocol
 # ---------------------------------------------------------------------------
@@ -317,14 +332,15 @@ class ExecutorBackend(abc.ABC):
 
     @abc.abstractmethod
     def open(self, program, query, fragmentation, *, num_workers: int,
-             failure_injector: Optional[FailureInjector] = None,
-             trace=None) -> ExecutorSession:
+             failure_injector=None, trace=None) -> ExecutorSession:
         """Bind a session for one engine run.
 
         ``trace`` is an optional :class:`repro.obs.trace.Span` the
         backend may hang session-setup child spans off (fragment
         shipping, shm attaches, delta replay).  Inline backends have no
-        setup work and ignore it.
+        setup work and ignore it.  ``failure_injector`` is accepted for
+        wrappers that forward it and must be ``None``
+        (:func:`_reject_failure_injector`).
         """
 
     @abc.abstractmethod
@@ -346,14 +362,12 @@ class _InlineSession(ExecutorSession):
     """States live in the coordinator; compute runs in-process."""
 
     def __init__(self, backend: "ExecutorBackend", program, query,
-                 fragmentation, num_workers: int,
-                 failure_injector: Optional[FailureInjector]):
+                 fragmentation, num_workers: int):
         self._backend = backend
         self._program = program
         self._query = query
         self._fragments = {f.fid: f for f in fragmentation.fragments}
         self._num_workers = num_workers
-        self._injector = failure_injector
         self._states: Dict[int, Any] = {}
         self._step_index = 0
 
@@ -374,16 +388,12 @@ class _InlineSession(ExecutorSession):
         self._step_index += 1
 
         def run_one(fid: int) -> Tuple[int, StepOutcome]:
-            if self._injector is not None and self._injector.should_fail(
-                    worker=fid, superstep=step_index):
-                return fid, StepOutcome(
-                    failed=WorkerFailure(worker=fid, superstep=step_index))
             fault = commands[fid].fault
             if fault is not None:
                 # Inline acting of plane faults: a "crash" surfaces as a
-                # simulated WorkerFailure (same recovery path as the
-                # injector); "hang"/"slow" stall the compute, which the
-                # engine's deadline check bounds at the next superstep.
+                # simulated WorkerFailure the engine recovers from;
+                # "hang"/"slow" stall the compute, which the engine's
+                # deadline check bounds at the next superstep.
                 if fault.kind == "crash":
                     return fid, StepOutcome(failed=WorkerFailure(
                         worker=fid, superstep=step_index))
@@ -416,10 +426,10 @@ class SerialBackend(ExecutorBackend):
     inline = True
 
     def open(self, program, query, fragmentation, *, num_workers: int,
-             failure_injector: Optional[FailureInjector] = None,
-             trace=None) -> ExecutorSession:
+             failure_injector=None, trace=None) -> ExecutorSession:
+        _reject_failure_injector(failure_injector)
         return _InlineSession(self, program, query, fragmentation,
-                              num_workers, failure_injector)
+                              num_workers)
 
     def run_tasks(self, thunks: Sequence[Callable[[], Any]],
                   num_workers: int) -> List[Any]:
@@ -455,10 +465,10 @@ class ThreadBackend(ExecutorBackend):
             return self._pool
 
     def open(self, program, query, fragmentation, *, num_workers: int,
-             failure_injector: Optional[FailureInjector] = None,
-             trace=None) -> ExecutorSession:
+             failure_injector=None, trace=None) -> ExecutorSession:
+        _reject_failure_injector(failure_injector)
         return _InlineSession(self, program, query, fragmentation,
-                              num_workers, failure_injector)
+                              num_workers)
 
     def run_tasks(self, thunks: Sequence[Callable[[], Any]],
                   num_workers: int) -> List[Any]:
@@ -1158,13 +1168,8 @@ class ProcessBackend(ExecutorBackend):
 
     # ------------------------------------------------------------------
     def open(self, program, query, fragmentation, *, num_workers: int,
-             failure_injector: Optional[FailureInjector] = None,
-             trace=None) -> ExecutorSession:
-        if failure_injector is not None:
-            raise ValueError(
-                "fault injection requires an inline backend "
-                "(backend='serial' or 'thread'): the process backend's "
-                "worker-resident states have no checkpoint channel")
+             failure_injector=None, trace=None) -> ExecutorSession:
+        _reject_failure_injector(failure_injector)
         fragments = fragmentation.fragments
         token = fragmentation.cache_token
         want = min(max(1, num_workers), max(1, len(fragments)))

@@ -64,7 +64,6 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import TraceContext
 from repro.optim.grouping import QueryGrouper
 from repro.partition.base import Fragmentation, PartitionStrategy
-from repro.partition.strategies import HashPartition
 from repro.replication.admission import (AdmissionController,
                                          AdmissionRejected)
 from repro.resilience import (BackendCircuitBreaker, DeadlineExceeded,
@@ -519,8 +518,7 @@ class GrapeService:
 
     def _cache_key(self, graph: str,
                    config: EngineConfig) -> FragCacheKey:
-        strategy = config.partition or HashPartition()
-        return (graph, self._strategy_signature(strategy),
+        return (graph, self._strategy_signature(config.partition),
                 config.effective_fragments)
 
     def fragmentation(self, graph: str, *,

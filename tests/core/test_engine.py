@@ -2,11 +2,12 @@
 PIE program, across partition strategies and worker counts — the
 executable Assurance Theorem."""
 
+import dataclasses
 from math import inf
 
 import pytest
 
-from repro.core.engine import GrapeEngine
+from repro.core.engine import EngineConfig, GrapeEngine
 from repro.graph.generators import (grid_road_graph, labeled_graph,
                                     uniform_random_graph)
 from repro.graph.graph import Graph
@@ -36,6 +37,31 @@ class TestEngineConfig:
     def test_virtual_less_than_physical_rejected(self):
         with pytest.raises(ValueError):
             GrapeEngine(4, num_fragments=2)
+
+    def test_config_rejects_virtual_less_than_physical(self):
+        with pytest.raises(ValueError, match="m must be >= physical n"):
+            EngineConfig(num_workers=4, num_fragments=2)
+        with pytest.raises(ValueError, match="m must be >= physical n"):
+            EngineConfig(num_workers=2).replace(num_workers=4,
+                                                num_fragments=2)
+
+    def test_unset_partition_resolves_to_hash(self):
+        assert type(EngineConfig().partition) is HashPartition
+        assert type(GrapeEngine(2).config.partition) is HashPartition
+
+    def test_every_config_field_is_an_engine_option(self):
+        config = EngineConfig(num_workers=2, num_fragments=3,
+                              partition=MetisLikePartition(),
+                              backend="thread", incremental=False,
+                              check_monotonic=True, max_supersteps=7,
+                              deadline_s=5.0)
+        options = {f.name: getattr(config, f.name)
+                   for f in dataclasses.fields(config)}
+        engine = GrapeEngine(options.pop("num_workers"), **options)
+        assert engine.config == config
+        assert GrapeEngine.from_config(config).config is config
+        with pytest.raises(TypeError):
+            GrapeEngine(2, executor="threads")
 
     def test_nonterminating_program_detected(self, small_road):
         engine = GrapeEngine(2, max_supersteps=2)

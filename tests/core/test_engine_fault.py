@@ -1,53 +1,80 @@
 """Fault tolerance: injected worker failures recover via checkpoints and
-results stay correct (paper Section 6)."""
+results stay correct (paper Section 6).
+
+Crashes are scheduled on the fault plane's ``exec.step`` site:
+``plan("exec.step", "crash", key=w, at=s)`` kills fragment ``w`` in its
+``s``-th superstep (PEval is superstep 1).  The engines here follow
+``REPRO_BACKEND``, so under the process backend every crash really kills
+a pooled worker and recovery replaces it.
+"""
 
 import pytest
 
 from repro.core.engine import GrapeEngine
-from repro.graph.generators import grid_road_graph, uniform_random_graph
+from repro.graph.generators import uniform_random_graph
 from repro.pie_programs import CCProgram, SSSPProgram
-from repro.runtime.fault import FailureInjector, WorkerFailure
+from repro.resilience.faults import FaultPlane
 from repro.sequential import connected_components, sssp_distances
+
+
+def crashes(*planned):
+    """A plane crashing fragment ``w`` in superstep ``s`` for every
+    ``(w, s)`` pair."""
+    plane = FaultPlane()
+    for worker, superstep in planned:
+        plane.plan("exec.step", "crash", key=worker, at=superstep)
+    return plane
+
+
+def components(g):
+    expected = {}
+    for v, c in connected_components(g).items():
+        expected.setdefault(c, set()).add(v)
+    return expected
 
 
 class TestFaultRecovery:
     def test_sssp_survives_peval_failure(self, small_road):
-        injector = FailureInjector(planned=[(1, 0)])
-        engine = GrapeEngine(4, failure_injector=injector)
+        plane = crashes((1, 1))
+        engine = GrapeEngine(4, fault_plane=plane)
         result = engine.run(SSSPProgram(), query=0, graph=small_road)
         assert result.answer == pytest.approx(sssp_distances(small_road, 0))
-        assert injector.fired == [(1, 0)]
+        assert plane.fired == [("exec.step", 1, 1, "crash")]
         assert result.recoveries >= 1
 
     def test_sssp_survives_inceval_failure(self, small_road):
-        injector = FailureInjector(planned=[(2, 1)])
-        engine = GrapeEngine(4, failure_injector=injector)
+        plane = crashes((2, 2))
+        engine = GrapeEngine(4, fault_plane=plane)
         result = engine.run(SSSPProgram(), query=0, graph=small_road)
         assert result.answer == pytest.approx(sssp_distances(small_road, 0))
+        assert plane.fired == [("exec.step", 2, 2, "crash")]
         assert result.recoveries >= 1
 
     def test_multiple_failures(self, small_road):
-        injector = FailureInjector(planned=[(0, 0), (1, 1), (2, 2)])
-        engine = GrapeEngine(4, failure_injector=injector)
+        plane = crashes((0, 1), (1, 2), (2, 3))
+        engine = GrapeEngine(4, fault_plane=plane)
         result = engine.run(SSSPProgram(), query=0, graph=small_road)
         assert result.answer == pytest.approx(sssp_distances(small_road, 0))
-        assert len(injector.fired) == 3
+        assert len(plane.fired) == 3
 
     def test_cc_survives_random_failures(self):
         g = uniform_random_graph(80, 100, directed=False, seed=17)
-        injector = FailureInjector(rate=0.05, seed=4, max_failures=5)
-        engine = GrapeEngine(4, failure_injector=injector)
+        # seed 2 fires two crashes on this graph at rate 0.05
+        plane = FaultPlane(seed=2).rate("exec.step", "crash", 0.05,
+                                        times=5)
+        engine = GrapeEngine(4, fault_plane=plane)
         result = engine.run(CCProgram(), query=None, graph=g)
-        expected = {}
-        for v, c in connected_components(g).items():
-            expected.setdefault(c, set()).add(v)
-        assert result.answer == expected
+        assert plane.fired
+        assert result.recoveries >= 1
+        assert result.answer == components(g)
 
     def test_failed_supersteps_still_accounted(self, small_road):
-        clean = GrapeEngine(4).run(SSSPProgram(), query=0,
-                                   graph=small_road)
-        injector = FailureInjector(planned=[(1, 0)])
-        faulty = GrapeEngine(4, failure_injector=injector).run(
+        # Only inline recovery charges the failed attempt: a pooled
+        # worker's death leaves no complete outcome set to record.
+        clean = GrapeEngine(4, backend="serial").run(
+            SSSPProgram(), query=0, graph=small_road)
+        faulty = GrapeEngine(4, backend="serial",
+                             fault_plane=crashes((1, 1))).run(
             SSSPProgram(), query=0, graph=small_road)
         # The replayed superstep is charged too: at least one extra.
         assert faulty.supersteps > clean.supersteps
@@ -60,9 +87,9 @@ class TestFaultRecovery:
 
 class TestFaultAfterDeletions:
     """Recovery when the failed superstep follows a deletion-bearing
-    GraphDelta (PR-4 deletions previously had no fault-path coverage):
-    the checkpointed states are built on the *mutated* fragmentation, so
-    restore + replay must converge to the post-deletion answers."""
+    GraphDelta: the checkpointed states are built on the *mutated*
+    fragmentation, so restore + replay must converge to the
+    post-deletion answers."""
 
     def _mutate(self, g, engine):
         from repro.core.updates import apply_delta
@@ -84,11 +111,11 @@ class TestFaultAfterDeletions:
         frag = self._mutate(small_road, clean_engine)
         clean = clean_engine.run(SSSPProgram(), query=0, fragmentation=frag)
 
-        injector = FailureInjector(planned=[(1, 0), (2, 1)])
-        engine = GrapeEngine(4, failure_injector=injector)
+        plane = crashes((1, 1), (2, 2))
+        engine = GrapeEngine(4, fault_plane=plane)
         result = engine.run(SSSPProgram(), query=0, fragmentation=frag)
         assert result.recoveries >= 1
-        assert len(injector.fired) == 2
+        assert len(plane.fired) == 2
         # oracle on the mutated base graph, which apply_delta kept in step
         assert result.answer == pytest.approx(sssp_distances(small_road, 0))
         assert result.answer == pytest.approx(clean.answer)
@@ -98,11 +125,9 @@ class TestFaultAfterDeletions:
         clean_engine = GrapeEngine(4)
         frag = self._mutate(g, clean_engine)
 
-        injector = FailureInjector(planned=[(0, 1)])
-        engine = GrapeEngine(4, failure_injector=injector)
+        plane = crashes((0, 2))
+        engine = GrapeEngine(4, fault_plane=plane)
         result = engine.run(CCProgram(), query=None, fragmentation=frag)
+        assert plane.fired
         assert result.recoveries >= 1
-        expected = {}
-        for v, c in connected_components(g).items():
-            expected.setdefault(c, set()).add(v)
-        assert result.answer == expected
+        assert result.answer == components(g)

@@ -17,7 +17,6 @@ from repro.graph.generators import uniform_random_graph
 from repro.partition.strategies import HashPartition, RangePartition
 from repro.pie_programs import SSSPProgram
 from repro.runtime.executors import UnpicklableProgramError
-from repro.runtime.fault import FailureInjector
 
 
 def roundtrip(obj):
@@ -96,8 +95,7 @@ def test_fragmentation_roundtrip_preserves_gp():
     EngineConfig(),
     EngineConfig(num_workers=2, num_fragments=8, backend="process"),
     EngineConfig(partition=RangePartition(), incremental=False),
-    EngineConfig(partition=HashPartition(),
-                 failure_injector=FailureInjector(planned=[(0, 1)])),
+    EngineConfig(partition=HashPartition(), checkpoint_dir="checkpoints"),
 ], ids=["default", "process", "range-ni", "hash-ft"])
 def test_engine_config_roundtrips(config):
     clone = roundtrip(config)
@@ -105,6 +103,7 @@ def test_engine_config_roundtrips(config):
     assert clone.effective_fragments == config.effective_fragments
     assert clone.backend == config.backend
     assert clone.incremental == config.incremental
+    assert clone.checkpoint_dir == config.checkpoint_dir
     assert type(clone.partition) is type(config.partition)
 
 

@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.core.engine import GrapeEngine
+from repro.graph.generators import grid_road_graph
+from repro.pie_programs import SSSPProgram
+from repro.resilience.faults import FaultPlane
 from repro.runtime.cluster import LoadBalancer, SimulatedCluster
-from repro.runtime.fault import FailureInjector, WorkerFailure
+from repro.runtime.executors import StepCommand
+from repro.runtime.fault import Arbitrator, WorkerFailure
 from repro.runtime.metrics import CostModel
 
 
@@ -40,12 +45,6 @@ class TestSimulatedCluster:
         assert cluster.metrics.comm_bytes == 150
         assert cluster.metrics.comm_messages == 4
 
-    def test_reset_metrics(self):
-        cluster = SimulatedCluster(1)
-        cluster.run_superstep([lambda: None])
-        cluster.reset_metrics()
-        assert cluster.metrics.supersteps == 0
-
     def test_virtual_workers_fold_to_physical(self):
         """With 4 virtual tasks and 2 physical workers, parallel time is
         at most the sum of all tasks and at least the max task."""
@@ -65,32 +64,49 @@ class TestSimulatedCluster:
         assert parallel > 0
 
     def test_threads_executor(self):
-        cluster = SimulatedCluster(2, executor="threads")
+        cluster = SimulatedCluster(2, backend="thread")
         results = cluster.run_superstep([lambda: 1, lambda: 2])
         assert results == [1, 2]
 
     def test_invalid_executor(self):
         with pytest.raises(ValueError):
-            SimulatedCluster(2, executor="processes")
+            SimulatedCluster(2, backend="gpu")
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
             SimulatedCluster(0)
 
     def test_failure_raises_after_accounting(self):
-        injector = FailureInjector(planned=[(0, 0)])
-        cluster = SimulatedCluster(2, failure_injector=injector)
-        with pytest.raises(WorkerFailure):
-            cluster.run_superstep([lambda: 1, lambda: 2])
-        # The superstep was still recorded (partial work happened).
-        assert cluster.metrics.supersteps == 1
-        # Replay succeeds: the planned failure fires only once.
-        results = cluster.run_superstep([lambda: 1, lambda: 2])
-        assert results == [1, 2]
+        """An injected crash fails the superstep on an inline backend;
+        the cluster still records the failed attempt (partial work
+        happened) and the replay succeeds, the crash firing once."""
+        engine = GrapeEngine(2, backend="serial")
+        frag = engine.make_fragmentation(grid_road_graph(3, 3, seed=1))
+        backend = engine._resolve_backend()
+        session = backend.open(SSSPProgram(), 0, frag, num_workers=2)
+        session.init_states()
+        attempts = []
+        step = session.step
 
-    def test_account_payload(self):
-        cluster = SimulatedCluster(1)
-        assert cluster.account_payload([1, 2, 3]) > 0
+        def recording_step(commands, **kw):
+            attempts.append(step(commands, **kw))
+            return attempts[-1]
+
+        session.step = recording_step
+        cluster = SimulatedCluster(2, backend=backend)
+        arbitrator = Arbitrator()
+        arbitrator.checkpoint(session.collect_states())
+        plane = FaultPlane().plan("exec.step", "crash", key=0, at=1)
+        outcomes = GrapeEngine._step_with_recovery(
+            cluster, [session], arbitrator,
+            {f.fid: StepCommand(phase="peval") for f in frag.fragments},
+            0, 0, lambda snap: session.replace_states(snap), plane=plane)
+        assert len(attempts) == 2
+        assert isinstance(attempts[0][0].failed, WorkerFailure)
+        # The failed attempt was recorded, then the replay.
+        assert cluster.metrics.supersteps == 2
+        assert outcomes is attempts[1]
+        assert all(o.failed is None for o in outcomes.values())
 
     def test_repr(self):
         assert "SimulatedCluster" in repr(SimulatedCluster(3))

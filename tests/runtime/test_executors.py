@@ -9,7 +9,6 @@ from repro.runtime.cluster import SimulatedCluster
 from repro.runtime.executors import (BACKEND_ENV_VAR, ProcessBackend,
                                      SerialBackend, ThreadBackend,
                                      available_backends, resolve_backend)
-from repro.runtime.fault import FailureInjector
 
 
 class ExplodingError(RuntimeError):
@@ -62,25 +61,10 @@ class TestResolution:
         # explicit choices beat the environment
         assert GrapeEngine(2, backend="serial")._resolve_backend().name \
             == "serial"
-        assert GrapeEngine(2, executor="threads")._resolve_backend().name \
-            == "thread"
 
     def test_config_carries_backend(self):
         config = EngineConfig(backend="thread")
         assert config.build()._resolve_backend().name == "thread"
-
-
-class TestFaultInjectionGate:
-    def test_explicit_process_plus_injector_raises(self):
-        engine = GrapeEngine(2, backend="process",
-                             failure_injector=FailureInjector())
-        with pytest.raises(ValueError, match="inline backend"):
-            engine._resolve_backend()
-
-    def test_env_process_plus_injector_falls_back(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
-        engine = GrapeEngine(2, failure_injector=FailureInjector())
-        assert engine._resolve_backend().name == "serial"
 
 
 class TestClosureTasks:
@@ -90,15 +74,19 @@ class TestClosureTasks:
         assert results == [1, 2, 3]
         assert cluster.metrics.supersteps == 1
 
+    @pytest.mark.parametrize("name", ["serial", "thread", "process"])
+    def test_open_rejects_failure_injector(self, name):
+        frag = GrapeEngine(2).make_fragmentation(
+            uniform_random_graph(10, 20, seed=1))
+        with pytest.raises(ValueError, match="FaultPlane"):
+            resolve_backend(name).open(SSSPProgram(), 0, frag,
+                                       num_workers=2,
+                                       failure_injector=object())
+
     def test_process_backend_rejects_closures(self):
         cluster = SimulatedCluster(2, backend="process")
         with pytest.raises(TypeError, match="process boundary"):
             cluster.run_superstep([lambda: 1])
-
-    def test_executor_threads_compat_maps_to_thread_backend(self):
-        cluster = SimulatedCluster(2, executor="threads")
-        assert cluster.backend.name == "thread"
-        assert cluster.run_superstep([lambda: 7]) == [7]
 
 
 class TestProcessPool:

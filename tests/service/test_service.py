@@ -139,6 +139,13 @@ class TestGraphManagement:
             service.play("sssp", 0, graph="nowhere")
 
 
+class TestEngineSpec:
+    def test_fewer_fragments_than_workers_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="m must be >= physical n"):
+            GrapeService(engine=EngineConfig(num_workers=4,
+                                             num_fragments=2))
+
+
 class TestPlay:
     def test_answer_and_metrics(self, service, small_road):
         ticket = service.play("sssp", 0, graph="roads")
