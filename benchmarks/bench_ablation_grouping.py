@@ -10,6 +10,7 @@ import pytest
 
 from _common import TRAFFIC_SCALE, record
 from repro.core.engine import GrapeEngine
+from repro.core.exchange import BorderExchange
 from repro.optim.grouping import grouping_savings
 from repro.pie_programs import SSSPProgram
 from repro.workloads import sample_sources, traffic_like
@@ -21,21 +22,18 @@ def run_ablation():
     engine = GrapeEngine(8)
 
     captured = []
-    original = GrapeEngine._compose_messages
+    original = BorderExchange.compose
 
-    def capture(program, fragmentation, reported, dirty, global_table):
-        messages = original(program, fragmentation, reported, dirty,
-                            global_table)
+    def capture(exchange, dirty):
+        messages = original(exchange, dirty)
         captured.extend(messages.values())
         return messages
 
-    GrapeEngine._compose_messages = staticmethod(capture)
+    BorderExchange.compose = capture
     try:
         engine.run(SSSPProgram(), query=source, graph=graph)
     finally:
-        # Re-wrap: assigning the bare function would turn the class
-        # attribute back into an instance method.
-        GrapeEngine._compose_messages = staticmethod(original)
+        BorderExchange.compose = original
     return grouping_savings(captured), len(captured)
 
 

@@ -8,8 +8,10 @@ for them exist (GraphLab-style asynchrony), under the same PIE contract:
 * ``PEval`` runs once per fragment, as before;
 * thereafter a scheduler pops the fragment with the earliest-ready
   pending message, runs ``IncEval`` on *just that fragment*, folds its
-  changed update parameters into the coordinator table, and enqueues the
-  destinations — no barrier, no idle waiting for stragglers;
+  changed update parameters into the coordinator table through the same
+  :class:`~repro.core.exchange.BorderExchange` the BSP engine uses, and
+  enqueues the destinations — no barrier, no idle waiting for
+  stragglers;
 * termination: the queue drains (no pending messages anywhere).
 
 Correctness: for programs satisfying the monotonic condition, the
@@ -29,19 +31,24 @@ advertised benefit of asynchrony on skewed workloads.
 
 from __future__ import annotations
 
-import heapq
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
+from repro.core.engine import EngineConfig
+from repro.core.exchange import BorderExchange
 from repro.core.monotonic import MonotonicityChecker
-from repro.core.pie import ParamKey, ParamUpdates, PIEProgram
+from repro.core.pie import ParamUpdates, PIEProgram
 from repro.graph.graph import Graph
-from repro.partition.base import Fragmentation, PartitionStrategy
-from repro.partition.strategies import HashPartition
-from repro.runtime.metrics import CostModel, RunMetrics, message_bytes
+from repro.partition.base import Fragmentation
+from repro.runtime.metrics import CostModel, RunMetrics
 
 __all__ = ["AsyncGrapeEngine", "AsyncGrapeResult"]
+
+#: the :class:`EngineConfig` fields the scheduler honors; the rest
+#: configure BSP execution (backends, checkpoints, deadlines)
+_ASYNC_OPTIONS = ("num_fragments", "partition", "cost_model",
+                  "check_monotonic", "max_supersteps")
 
 
 @dataclass
@@ -61,36 +68,26 @@ class AsyncGrapeEngine:
     """Barrier-free evaluation of PIE programs.
 
     Shares the PIE contract with :class:`~repro.core.engine.GrapeEngine`
-    (``peval``/``inceval``/``read_update_params``/``assemble`` and the
+    (``peval``/``inceval``/the parameter reports/``assemble`` and the
     aggregator); explicit designated/key-value channels are not supported
     (they encode BSP synchrony by construction).
 
-    Parameters mirror the synchronous engine where they make sense.
+    ``AsyncGrapeEngine(num_workers, **options)`` takes the
+    :class:`~repro.core.engine.EngineConfig` fields ``num_fragments``,
+    ``partition``, ``cost_model``, ``check_monotonic`` and
+    ``max_supersteps`` — here the bound on fragment activations — and
+    keeps the spec as :attr:`config`.
     """
 
-    def __init__(self, num_workers: int, *,
-                 num_fragments: Optional[int] = None,
-                 partition: Optional[PartitionStrategy] = None,
-                 cost_model: Optional[CostModel] = None,
-                 check_monotonic: bool = False,
-                 max_activations: int = 1_000_000):
-        if num_workers < 1:
-            raise ValueError("need at least one worker")
-        self.num_workers = num_workers
-        self.num_fragments = num_fragments or num_workers
-        if self.num_fragments < self.num_workers:
-            raise ValueError("virtual workers m must be >= physical n")
-        self.partition = partition or HashPartition()
-        self.cost_model = cost_model or CostModel()
-        self.check_monotonic = check_monotonic
-        self.max_activations = max_activations
-
-    # ------------------------------------------------------------------
-    def make_fragmentation(self, graph: Graph) -> Fragmentation:
-        return self.partition.partition(graph, self.num_fragments)
+    def __init__(self, num_workers: int, **options: Any):
+        unsupported = sorted(set(options) - set(_ASYNC_OPTIONS))
+        if unsupported:
+            raise TypeError(f"AsyncGrapeEngine does not take "
+                            f"{', '.join(unsupported)}")
+        self.config = EngineConfig(num_workers=num_workers, **options)
 
     def _worker_of(self, fid: int) -> int:
-        return fid % self.num_workers
+        return fid % self.config.num_workers
 
     # ------------------------------------------------------------------
     def run(self, program: PIEProgram, query: Any,
@@ -98,103 +95,72 @@ class AsyncGrapeEngine:
             fragmentation: Optional[Fragmentation] = None,
             ) -> AsyncGrapeResult:
         """Compute ``Q(G)`` without barriers."""
+        config = self.config
         if fragmentation is None:
             if graph is None:
                 raise ValueError("pass either graph or fragmentation")
-            fragmentation = self.make_fragmentation(graph)
+            fragmentation = config.build().make_fragmentation(graph)
 
         frags = fragmentation.fragments
-        gp = fragmentation.gp
-        agg = program.aggregator
-        checker = MonotonicityChecker(agg, enabled=self.check_monotonic)
+        cost = config.cost_model or CostModel()
+        checker = MonotonicityChecker(program.aggregator,
+                                      enabled=config.check_monotonic)
         metrics = RunMetrics()
+        exchange = BorderExchange(program, fragmentation)
 
         states: Dict[int, Any] = {f.fid: program.init_state(query, f)
                                   for f in frags}
         payloads = program.preprocess(query, fragmentation)
         if payloads:
+            metrics.comm_bytes += exchange.charge_payloads(payloads)
+            metrics.comm_messages += len(payloads)
             for fid, payload in payloads.items():
-                metrics.comm_bytes += message_bytes(payload)
-                metrics.comm_messages += 1
                 program.apply_preprocess(query, frags[fid], states[fid],
                                          payload)
 
-        reported: Dict[int, ParamUpdates] = {f.fid: {} for f in frags}
-        global_table: Dict[ParamKey, Any] = {}
         pending: Dict[int, ParamUpdates] = {}     # fid -> message content
         ready_at: Dict[int, float] = {}           # fid -> earliest start
-        worker_free = [0.0] * self.num_workers
-        activations = 0
+        worker_free = [0.0] * config.num_workers
 
         def account_dirty(fid: int, finish: float) -> None:
-            """Diff fragment fid's parameters, fold into the table, and
-            enqueue destination fragments."""
-            current = program.read_update_params(query, frags[fid],
-                                                 states[fid])
-            prev = reported[fid]
-            changed = {k: v for k, v in current.items()
-                       if k not in prev or prev[k] != v}
-            reported[fid] = current
-            if not changed:
-                return
-            metrics.comm_bytes += message_bytes(changed)
-            metrics.comm_messages += 1
-            dirty: Set[ParamKey] = set()
-            for key, value in changed.items():
-                if key in global_table:
-                    old = global_table[key]
-                    merged = agg.combine(old, value)
-                    if agg.is_progress(old, merged):
-                        checker.observe(key, merged)
-                        global_table[key] = merged
-                        dirty.add(key)
-                else:
-                    global_table[key] = value
-                    dirty.add(key)
-            new_batches: Dict[int, ParamUpdates] = {}
-            for key in dirty:
-                node, _name = key
-                if node not in gp:
-                    continue
-                if program.route_to == "owner":
-                    dests = (gp.owner(node),)
-                else:
-                    dests = gp.holders(node)
-                for dest in dests:
-                    if dest == fid:
-                        continue
-                    if reported[dest].get(key) == global_table[key]:
-                        continue
-                    new_batches.setdefault(dest, {})[key] = \
-                        global_table[key]
-            for dest, batch in new_batches.items():
-                transfer = (message_bytes(batch)
-                            * self.cost_model.seconds_per_byte
-                            + self.cost_model.sync_latency_s)
-                metrics.comm_bytes += message_bytes(batch)
+            """Fold fragment fid's report and enqueue its destinations."""
+            up_bytes, up_msgs, dirty = exchange.fold_states(
+                query, states, checker, fids=(fid,))
+            metrics.comm_bytes += up_bytes
+            metrics.comm_messages += up_msgs
+            batches = exchange.compose(dirty)
+            # The sender already holds what it just reported.
+            batches.pop(fid, None)
+            for dest, batch in batches.items():
+                nbytes = exchange.charge_params(batch)
+                transfer = (nbytes * cost.seconds_per_byte
+                            + cost.sync_latency_s)
+                metrics.comm_bytes += nbytes
                 metrics.comm_messages += 1
                 pending.setdefault(dest, {}).update(batch)
                 ready_at[dest] = max(ready_at.get(dest, 0.0),
                                      finish + transfer)
 
-        # ---------------- PEval: every fragment once -------------------
-        for frag in frags:
-            wid = self._worker_of(frag.fid)
-            start_clock = worker_free[wid]
+        def activate(fid: int, start_clock: float, phase, *message) -> None:
+            """Run one activation on its worker's clock and fold it."""
             t0 = time.perf_counter()
-            program.peval(query, frag, states[frag.fid])
+            phase(query, frags[fid], states[fid], *message)
             elapsed = time.perf_counter() - t0
             metrics.total_compute_s += elapsed
-            finish = start_clock + elapsed
-            worker_free[wid] = finish
-            activations += 1
-            account_dirty(frag.fid, finish)
+            finish = worker_free[self._worker_of(fid)] = start_clock + elapsed
+            account_dirty(fid, finish)
+
+        # ---------------- PEval: every fragment once -------------------
+        for frag in frags:
+            activate(frag.fid, worker_free[self._worker_of(frag.fid)],
+                     program.peval)
+        activations = len(frags)
 
         # ---------------- asynchronous IncEval loop --------------------
         while pending:
-            if activations >= self.max_activations:
+            if activations >= config.max_supersteps:
                 raise RuntimeError(
-                    f"no fixpoint after {self.max_activations} "
+                    f"no fixpoint after {config.max_supersteps} "
                     "activations; check the monotonic condition")
             # Schedule the fragment that can start earliest.
             def start_time(fid: int) -> float:
@@ -204,17 +170,8 @@ class AsyncGrapeEngine:
             fid = min(pending, key=lambda f: (start_time(f), f))
             message = pending.pop(fid)
             ready_at.pop(fid, None)
-            wid = self._worker_of(fid)
-            start_clock = start_time(fid)
-
-            t0 = time.perf_counter()
-            program.inceval(query, frags[fid], states[fid], message)
-            elapsed = time.perf_counter() - t0
-            metrics.total_compute_s += elapsed
-            finish = start_clock + elapsed
-            worker_free[wid] = finish
+            activate(fid, start_time(fid), program.inceval, message)
             activations += 1
-            account_dirty(fid, finish)
 
         # ---------------- Assemble -------------------------------------
         t0 = time.perf_counter()

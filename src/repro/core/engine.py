@@ -6,11 +6,12 @@ paper's three phases as a simultaneous fixpoint over fragments:
 1. **PEval** — superstep 1: every worker evaluates the batch sequential
    algorithm on its fragment and reports its update parameters
    ``C_i.x̄`` to the coordinator;
-2. **IncEval** — iterated supersteps: the coordinator folds reports into a
+2. **IncEval** — iterated supersteps: the coordinator's
+   :class:`~repro.core.exchange.BorderExchange` folds reports into a
    per-parameter global table using the program's ``aggregateMsg``
-   aggregator, composes a message ``M_j`` for every fragment holding a
-   changed border node (destinations deduced from the fragmentation graph
-   ``G_P``), and each worker with a non-empty message incrementally
+   aggregator and composes a message ``M_j`` for every fragment holding
+   a changed border node (destinations deduced from the fragmentation
+   graph ``G_P``); each worker with a non-empty message incrementally
    computes ``Q(F_i ⊕ M_i)``;
 3. **Assemble** — when no update parameter changed and no explicit
    messages are pending, the coordinator pulls partial results and
@@ -22,10 +23,11 @@ message channels (Section 3.5): *designated* worker-to-worker messages and
 Simulation Theorem compilers (:mod:`repro.core.bsp_sim`,
 :mod:`repro.core.mapreduce_sim`, :mod:`repro.core.pram_sim`).
 
-Communication is accounted both ways (changed-parameter reports up to the
-coordinator, composed messages down), in serialized bytes.  Supersteps,
-per-superstep max-worker compute time and traffic are folded into
-:class:`~repro.runtime.metrics.RunMetrics` by the simulated cluster.
+The same exchange charges communication both ways (changed-parameter
+reports up to the coordinator, composed messages down), in serialized
+bytes.  Supersteps, per-superstep max-worker compute time and traffic
+are folded into :class:`~repro.runtime.metrics.RunMetrics` by the
+simulated cluster.
 
 The engine also implements:
 
@@ -47,11 +49,13 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Set, Union
+from typing import Any, Dict, Optional, Union
 
+from repro.core.exchange import BorderExchange
 from repro.core.monotonic import MonotonicityChecker
-from repro.core.pie import ParamKey, ParamUpdates, PIEProgram
+from repro.core.pie import PIEProgram
 from repro.obs import events as _events
 from repro.obs.trace import Span
 from repro.graph.graph import Graph
@@ -65,11 +69,9 @@ from repro.runtime.executors import (PHASE_IDLE, PHASE_INC, PHASE_NI,
                                      PHASE_PEVAL,
                                      ExecutorBackend, StepCommand,
                                      WorkerHung, WorkerProcessDied,
-                                     read_report, resolve_backend)
+                                     resolve_backend)
 from repro.runtime.fault import Arbitrator
-from repro.runtime.message import stable_hash
-from repro.runtime.metrics import (CostModel, ParamSizeCache, RunMetrics,
-                                   message_bytes)
+from repro.runtime.metrics import CostModel, RunMetrics
 
 __all__ = ["EngineConfig", "GrapeEngine", "GrapeResult"]
 
@@ -127,6 +129,8 @@ class EngineConfig:
     fault_plane: Optional[FaultPlane] = None
 
     def __post_init__(self):
+        if self.num_workers < 1:
+            raise ValueError("need at least one worker")
         if self.effective_fragments < self.num_workers:
             raise ValueError("virtual workers m must be >= physical n")
         if self.partition is None:
@@ -160,6 +164,9 @@ class GrapeResult:
     #: tracing (``GrapeEngine.run(trace=...)`` /
     #: ``GrapeService(tracing=True)``); ``None`` otherwise
     trace: Optional[Span] = None
+    #: the coordinator's border exchange at the fixpoint — the reported
+    #: values and aggregated table a standing query keeps maintaining
+    exchange: Optional[BorderExchange] = None
 
     @property
     def supersteps(self) -> int:
@@ -211,7 +218,8 @@ class GrapeEngine:
         executed wherever the fragment lives (in-process for the serial
         and thread backends, in a pooled worker process for the process
         backend).  All coordinator logic — report folding, aggregation,
-        message composition, byte accounting — runs here regardless of
+        message composition, byte accounting — runs here, through one
+        :class:`~repro.core.exchange.BorderExchange`, regardless of
         backend, so answers, superstep counts and communication volumes
         are backend-invariant.
 
@@ -291,43 +299,27 @@ class GrapeEngine:
                     if attempt == 4:
                         raise
 
+        def span(name):
+            return trace.child(name) if trace is not None else nullcontext()
+
         try:
-            if trace is not None:
-                with trace.child("init_states"):
-                    session_box[0].init_states()
-            else:
+            with span("init_states"):
                 session_box[0].init_states()
 
+            exchange = BorderExchange(program, fragmentation)
             # Optional pre-PEval data shipping (SubIso neighborhoods).
-            pre_bytes = 0
             payloads = program.preprocess(query, fragmentation)
             if payloads:
-                pre_bytes = sum(message_bytes(p)
-                                for p in payloads.values())
-                if trace is not None:
-                    with trace.child("preprocess"):
-                        session_box[0].apply_preprocess(payloads)
-                else:
+                with span("preprocess"):
                     session_box[0].apply_preprocess(payloads)
-
-            # Coordinator bookkeeping: last values each fragment
-            # reported, the per-parameter global table.
-            reported: Dict[int, ParamUpdates] = {f.fid: {} for f in frags}
-            global_table: Dict[ParamKey, Any] = {}
-            # Memoized byte accounting: identical parameter entries recur
-            # across rounds and destinations; pickle each once per run.
-            sizer = ParamSizeCache()
 
             def snapshot_state():
                 return {"states": session_box[0].collect_states(),
-                        "reported": reported, "table": global_table}
+                        **exchange.snapshot()}
 
             def restore(snap):
                 session_box[0].replace_states(snap["states"])
-                reported.clear()
-                reported.update(snap["reported"])
-                global_table.clear()
-                global_table.update(snap["table"])
+                exchange.restore(snap)
 
             step_seq = [0]
 
@@ -365,70 +357,42 @@ class GrapeEngine:
 
             outcomes = traced_step(
                 {f.fid: StepCommand(phase=PHASE_PEVAL) for f in frags},
-                bytes_in=pre_bytes, msgs_in=1 if payloads else 0,
+                bytes_in=exchange.charge_payloads(payloads or {}),
+                msgs_in=1 if payloads else 0,
                 restore=restore, reopen=reopen, plane=plane,
                 deadline=deadline, budget_s=config.deadline_s,
                 cancel=cancel)
-
-            up_bytes, up_msgs, dirty = self._fold_outcomes(
-                program, frags, outcomes, reported, global_table,
-                checker, first_round=True, sizer=sizer)
-            messages = self._compose_messages(program, fragmentation,
-                                              reported, dirty, global_table)
-            designated, keyvalue, ch_bytes, ch_msgs = \
-                self._route_channels(frags, outcomes)
-            up_bytes += ch_bytes
-            up_msgs += ch_msgs
+            step = exchange.settle(outcomes, checker, first_round=True)
             if ft_enabled:
                 arbitrator.checkpoint(snapshot_state())
 
             # ------------- IncEval supersteps --------------------------
             rounds = 1
-            while (messages or designated or keyvalue) \
-                    and rounds < config.max_supersteps:
+            while step.pending and rounds < config.max_supersteps:
                 rounds += 1
-                down_bytes = sum(sizer.updates_bytes(msg)
-                                 for msg in messages.values())
-                down_bytes += sum(message_bytes(p)
-                                  for p in designated.values())
-                down_bytes += sum(message_bytes(g)
-                                  for g in keyvalue.values())
-                down_msgs = len(messages) + len(designated) + len(keyvalue)
-
-                active = set(messages) | set(designated) | set(keyvalue)
+                active = (set(step.messages) | set(step.designated)
+                          | set(step.keyvalue))
                 # GRAPE-NI ablation: apply the message and redo PEval
                 # from scratch instead of IncEval.
                 phase = PHASE_INC if config.incremental else PHASE_NI
                 commands = {
                     f.fid: (StepCommand(phase=phase,
-                                        message=messages.get(f.fid, {}),
-                                        designated=designated.get(f.fid),
-                                        keyvalue=keyvalue.get(f.fid))
+                                        message=step.messages.get(f.fid, {}),
+                                        designated=step.designated.get(f.fid),
+                                        keyvalue=step.keyvalue.get(f.fid))
                             if f.fid in active else StepCommand())
                     for f in frags}
 
                 outcomes = traced_step(
-                    commands,
-                    bytes_in=up_bytes + down_bytes,
-                    msgs_in=up_msgs + down_msgs,
+                    commands, bytes_in=step.nbytes, msgs_in=step.count,
                     restore=restore, reopen=reopen, plane=plane,
                     deadline=deadline, budget_s=config.deadline_s,
                     cancel=cancel)
-
-                up_bytes, up_msgs, dirty = self._fold_outcomes(
-                    program, frags, outcomes, reported, global_table,
-                    checker, first_round=False, sizer=sizer)
-                messages = self._compose_messages(program, fragmentation,
-                                                  reported, dirty,
-                                                  global_table)
-                designated, keyvalue, ch_bytes, ch_msgs = \
-                    self._route_channels(frags, outcomes)
-                up_bytes += ch_bytes
-                up_msgs += ch_msgs
+                step = exchange.settle(outcomes, checker, first_round=False)
                 if ft_enabled:
                     arbitrator.checkpoint(snapshot_state())
 
-            if messages or designated or keyvalue:
+            if step.pending:
                 raise RuntimeError(
                     f"no fixpoint after {config.max_supersteps} supersteps; "
                     "check the monotonic condition of the PIE program")
@@ -443,8 +407,8 @@ class GrapeEngine:
             cluster.metrics.parallel_time_s += assemble_s
             cluster.metrics.total_compute_s += assemble_s
             # Trailing reports of the final round are communication too.
-            cluster.metrics.comm_bytes += up_bytes
-            cluster.metrics.comm_messages += up_msgs
+            cluster.metrics.comm_bytes += step.nbytes
+            cluster.metrics.comm_messages += step.count
             # Physical-execution figures come from the live session — a
             # recovery mid-run re-opened it, so they describe the session
             # that finished the run.
@@ -468,7 +432,7 @@ class GrapeEngine:
             return GrapeResult(answer=answer, metrics=cluster.metrics,
                                fragmentation=fragmentation, states=states,
                                recoveries=arbitrator.recoveries,
-                               trace=trace)
+                               trace=trace, exchange=exchange)
         finally:
             session_box[0].close()
             arbitrator.discard()
@@ -582,141 +546,3 @@ class GrapeEngine:
             if arbitrator.has_checkpoint:
                 restore(arbitrator.restore())
             # else: replay from the current (pre-PEval) state.
-
-    # ------------------------------------------------------------------
-    def _collect_reports(self, program, query, frags, states, reported,
-                         global_table, checker, *, first_round: bool,
-                         sizer: ParamSizeCache,
-                         force_full: bool = False):
-        """Read every fragment's report in-process and fold it.
-
-        The coordinator-side entry point for callers holding states
-        directly (:class:`~repro.core.updates.ContinuousQuerySession`);
-        engine runs fold the reports their backend session returned
-        through :meth:`_fold_outcomes` instead.  ``force_full`` reads and
-        diffs the full parameter dict even for programs implementing the
-        incremental dirty-set protocol — required right after a graph
-        mutation, when candidate sets may have gained nodes the
-        program's dirty tracking never saw (e.g. a node newly becoming a
-        border node at a fragment that received no inserted edges).
-        """
-        reports = {frag.fid: read_report(program, query, frag,
-                                         states[frag.fid], force_full)
-                   for frag in frags}
-        return self._fold_reports(program, [f.fid for f in frags], reports,
-                                  reported, global_table, checker,
-                                  first_round=first_round, sizer=sizer)
-
-    def _fold_outcomes(self, program, frags, outcomes, reported,
-                       global_table, checker, *, first_round: bool,
-                       sizer: ParamSizeCache):
-        """Fold the reports a backend session's superstep produced."""
-        reports = {fid: outcome.report for fid, outcome in outcomes.items()}
-        return self._fold_reports(program, [f.fid for f in frags], reports,
-                                  reported, global_table, checker,
-                                  first_round=first_round, sizer=sizer)
-
-    def _fold_reports(self, program, fid_order, reports, reported,
-                      global_table, checker, *, first_round: bool,
-                      sizer: ParamSizeCache):
-        """Fold per-fragment parameter reports into the global table,
-        return (bytes, msgs, dirty).
-
-        A ``("changed", params)`` report (the incremental protocol of
-        :meth:`~repro.core.pie.PIEProgram.read_changed_params`) is folded
-        directly; a ``("full", params)`` report is diffed against the
-        fragment's last report first.  Report bytes are charged through
-        ``sizer`` (memoized per entry).
-        """
-        agg = program.aggregator
-        dirty: Set[ParamKey] = set()
-        up_bytes = 0
-        up_msgs = 0
-        for fid in fid_order:
-            kind, params = reports[fid]
-            if kind == "full":
-                prev = reported[fid]
-                changed = {k: v for k, v in params.items()
-                           if k not in prev or prev[k] != v}
-                reported[fid] = params
-            else:
-                changed = params
-                if changed:
-                    reported[fid].update(changed)
-            if not changed:
-                continue
-            up_bytes += sizer.updates_bytes(changed)
-            up_msgs += 1
-            for key, value in changed.items():
-                if key in global_table:
-                    old = global_table[key]
-                    merged = agg.combine(old, value)
-                    if agg.is_progress(old, merged) or (
-                            first_round and merged != old):
-                        checker.observe(key, merged)
-                        global_table[key] = merged
-                        dirty.add(key)
-                else:
-                    global_table[key] = value
-                    dirty.add(key)
-        return up_bytes, up_msgs, dirty
-
-    @staticmethod
-    def _compose_messages(program, fragmentation, reported, dirty,
-                          global_table):
-        """Group changed parameters into one message per destination
-        fragment, deducing destinations from ``G_P`` (paper 3.2(3))."""
-        gp = fragmentation.gp
-        messages: Dict[int, ParamUpdates] = {}
-        for key in dirty:
-            node, _name = key
-            value = global_table[key]
-            if node not in gp:
-                continue
-            if program.route_to == "owner":
-                dests = (gp.owner(node),)
-            else:
-                dests = gp.holders(node)
-            for dest in dests:
-                # Skip fragments already holding this exact value.
-                if reported[dest].get(key) == value:
-                    continue
-                messages.setdefault(dest, {})[key] = value
-        return messages
-
-    def _route_channels(self, frags, outcomes):
-        """Route the designated and key-value messages the workers
-        drained this superstep.
-
-        Key-value pairs are grouped by key and assigned to workers by key
-        hash — the coordinator's MapReduce-style shuffle (Section 3.5).
-        Returns ``(designated, keyvalue, bytes, message_count)`` where both
-        channel dicts map destination fid to deliverable content.
-        """
-        m = len(frags)
-        designated: Dict[int, List[Any]] = {}
-        grouped: Dict[Hashable, List[Any]] = {}
-        ch_bytes = 0
-        ch_msgs = 0
-        for frag in frags:
-            outcome = outcomes[frag.fid]
-            des, kvs = outcome.designated, outcome.keyvalue
-            for dest, items in des.items():
-                if not 0 <= dest < m:
-                    raise ValueError(f"designated dest {dest} out of range")
-                if items:
-                    designated.setdefault(dest, []).extend(items)
-                    ch_bytes += message_bytes(items)
-                    ch_msgs += 1
-            for key, value in kvs:
-                grouped.setdefault(key, []).append(value)
-                ch_msgs += 1
-            if kvs:
-                ch_bytes += message_bytes(kvs)
-        keyvalue: Dict[int, Dict[Hashable, List[Any]]] = {}
-        for key, values in grouped.items():
-            # stable_hash, not builtin hash: string keys must route to the
-            # same worker in every process regardless of PYTHONHASHSEED.
-            dest = stable_hash(key) % m
-            keyvalue.setdefault(dest, {})[key] = values
-        return designated, keyvalue, ch_bytes, ch_msgs

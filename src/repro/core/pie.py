@@ -33,11 +33,16 @@ from repro.core.aggregators import Aggregator, DefaultExceptionAggregator
 from repro.graph.graph import Graph, Node
 from repro.partition.base import Fragment, Fragmentation
 
-__all__ = ["PIEProgram", "ParamKey", "ParamUpdates"]
+__all__ = ["BOUNDED_HOOKS", "PIEProgram", "ParamKey", "ParamUpdates"]
 
 # (border node, variable name) -> value
 ParamKey = Tuple[Node, Hashable]
 ParamUpdates = Dict[ParamKey, Any]
+
+#: the optional hooks of the bounded non-monotone update path, required
+#: together (see the comment block in :class:`PIEProgram`)
+BOUNDED_HOOKS = ("affected_seeds", "expand_affected", "apply_nonmonotone",
+                 "report_entries")
 
 
 class PIEProgram(abc.ABC):
@@ -187,7 +192,7 @@ class PIEProgram(abc.ABC):
         any touched fragment's delta invalidates, the session routes the
         batch through the bounded non-monotone path (affected-region
         reset + re-convergence) instead of the plain ``on_graph_update``
-        fold.  The bounded path requires the three optional hooks below;
+        fold.  The bounded path requires the four optional hooks below;
         the default is therefore "non-monotone and the program
         implements them".  Programs whose answers ignore parts of a
         delta narrow this — BFS and CC, for example, treat weight
@@ -195,8 +200,10 @@ class PIEProgram(abc.ABC):
         """
         return not delta.monotone and hasattr(self, "apply_nonmonotone")
 
-    # The bounded non-monotone path (delete-aware IncEval) is three more
-    # optional hooks, detected via ``hasattr`` and required together:
+    # The bounded non-monotone path (delete-aware IncEval) is four more
+    # optional hooks, detected via ``hasattr`` and required together
+    # (:data:`BOUNDED_HOOKS`; a standing query rejects a program that
+    # has ``apply_nonmonotone`` without the other three):
     #
     # * ``affected_seeds(query, fragment, state, delta) -> Set[Node]`` —
     #   the direct hits: vertices whose converged value was supported by
@@ -211,20 +218,15 @@ class PIEProgram(abc.ABC):
     #   reset the affected vertices to neutral, re-seed them from
     #   unaffected in-neighbors on the mutated graph, fold the monotone
     #   part of ``delta`` (which may be ``None`` for fragments affected
-    #   only transitively) and re-converge locally.
-    #
-    # A fourth, optional on top of those three:
-    #
+    #   only transitively) and re-converge locally, keeping the dirty
+    #   tracking behind ``read_changed_params`` alive;
     # * ``report_entries(query, fragment, state, nodes) -> ParamUpdates``
     #   — the per-node restriction of ``read_update_params``: current
-    #   report entries for the listed nodes only.  Programs that provide
-    #   it — and whose ``apply_nonmonotone`` keeps the dirty tracking
-    #   behind ``read_changed_params`` alive — get the session's
-    #   *incremental* rebaseline after a bounded reset: the coordinator
-    #   re-reads and re-aggregates only the dirty values plus a probe of
-    #   the vertices the batch could have touched (affected, retired, or
-    #   moved between border sets), instead of full ``O(border)``
-    #   reports.
+    #   report entries for the listed nodes only.  After a bounded reset
+    #   the coordinator re-reads and re-aggregates only the dirty values
+    #   plus a probe of the vertices the batch could have touched
+    #   (affected, retired, or moved between border sets), instead of
+    #   full ``O(border)`` reports.
 
     def apply_message(self, query: Any, fragment: Fragment, state: Any,
                       message: ParamUpdates) -> None:
@@ -258,7 +260,10 @@ class PIEProgram(abc.ABC):
     #: How changed update parameters are routed through ``G_P``:
     #: ``"holders"`` sends to every fragment containing the border node
     #: (Sim, CC, CF); ``"owner"`` sends to the owning fragment only (SSSP,
-    #: whose ``F_i.O`` copies have no local out-edges).
+    #: whose ``F_i.O`` copies have no local out-edges).  Owner routing is
+    #: an edge-cut shortcut: on a vertex-cut fragmentation, where any
+    #: copy may carry out-edges, the exchange routes to every holder, and
+    #: owner-routed programs report ``Fragment.published`` copies.
     route_to: str = "holders"
 
     def drain_messages(self, query: Any, fragment: Fragment,

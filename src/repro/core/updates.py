@@ -29,7 +29,10 @@ mutation path for partitioned graphs, built around the first-class
   the same (already mutated) fragmentation, inside the same session.
   This is the paper's "incremental when possible, recompute when not"
   contract, in the spirit of Berkholz, Keppeler & Schweikardt's dynamic
-  query answering under updates.
+  query answering under updates.  The session's maintenance state is
+  the :class:`~repro.core.exchange.BorderExchange` its last engine run
+  reached the fixpoint with; every maintenance round folds, routes and
+  charges through it.
 
 Programs that cannot tolerate a recompute opt out with
 ``recompute_fallback = False`` and receive a typed
@@ -43,13 +46,12 @@ from typing import Any, Dict, Iterable, Optional, Set, Tuple, Union
 
 from repro.core.engine import GrapeEngine
 from repro.core.monotonic import MonotonicityChecker
-from repro.core.pie import ParamKey, ParamUpdates, PIEProgram
+from repro.core.pie import BOUNDED_HOOKS, ParamUpdates, PIEProgram
 from repro.graph.delta import FragmentDelta, GraphDelta, NormalizedDelta
 from repro.graph.graph import Graph, Node
 from repro.partition.base import Fragmentation
-from repro.runtime.executors import read_report
 from repro.runtime.message import stable_hash
-from repro.runtime.metrics import CostModel, ParamSizeCache
+from repro.runtime.metrics import CostModel
 
 __all__ = ["ContinuousQuerySession", "NonMonotoneUpdateError",
            "apply_delta", "apply_insertions"]
@@ -71,7 +73,7 @@ class NonMonotoneUpdateError(ValueError):
 def apply_delta(fragmentation: Fragmentation,
                 delta: Union[GraphDelta, NormalizedDelta],
                 *, wal=None) -> Dict[int, FragmentDelta]:
-    """Apply an update batch to an edge-cut fragmentation in place.
+    """Apply an update batch to a fragmentation in place.
 
     The batch is normalized against the base graph first (dedup,
     no-op elimination, classification), so **an empty or duplicate-only
@@ -85,11 +87,14 @@ def apply_delta(fragmentation: Fragmentation,
       orientation at ``v``'s owner for undirected graphs); new nodes are
       placed by stable hash; mirror copies join ``F_i.O`` / ``F_j.I``
       and the ``G_P`` holder index exactly as at partition time;
-    * weight changes rewrite the stored weight wherever the edge lives;
-    * deletions remove the stored orientation(s); a mirror copy whose
-      last local edge disappears is retired — dropped from the local
-      graph, its ``F_i.O`` entry and its ``G_P`` holders — and an owned
-      node that no longer has any cross edge leaves ``F_j.I``.
+    * weight changes rewrite the stored weight wherever the edge lives —
+      at the owner of its source on an edge-cut, at the holder the edge
+      was assigned to on a vertex-cut;
+    * deletions remove the stored orientation(s) from the same fragment;
+      a mirror copy whose last local edge disappears is retired — dropped
+      from the local graph, its ``F_i.O`` entry and its ``G_P`` holders
+      — and an owned node that no longer has any cross edge leaves
+      ``F_j.I``.
 
     Returns ``{fid: FragmentDelta}`` for the touched fragments; the same
     records are stamped into the fragmentation's delta log
@@ -161,8 +166,16 @@ def apply_delta(fragmentation: Fragmentation,
                 fd(fv).inner_added.append(v)
         delta_f.insertions.append((u, v, w))
 
+    def home(u: Node, v: Node) -> int:
+        """The fragment storing orientation ``(u, v)``: ``u``'s owner on
+        an edge-cut; on a vertex-cut, whichever holder of both endpoints
+        the edge was assigned to (the owner when none stores it)."""
+        fu = gp.owner(u)
+        return next((f for f in (fu, *sorted(gp.holders(u) & gp.holders(v)))
+                     if fragmentation[f].graph.has_edge(u, v)), fu)
+
     def reweight(u: Node, v: Node, old: float, new: float) -> None:
-        fu, fv = gp.owner(u), gp.owner(v)
+        fu, fv = home(u, v), home(v, u)
         frag = fragmentation[fu]
         frag.graph.set_edge_weight(u, v, new)
         fd(fu).weight_changes.append((u, v, old, new))
@@ -196,8 +209,8 @@ def apply_delta(fragmentation: Fragmentation,
         gp._holders[x] = gp.holders(x) - {fid}
 
     def delete_orientation(u: Node, v: Node) -> None:
-        """Remove stored orientation ``(u, v)`` from ``u``'s owner."""
-        fu = gp.owner(u)
+        """Remove stored orientation ``(u, v)`` from its home fragment."""
+        fu = home(u, v)
         frag = fragmentation[fu]
         if frag.graph.has_edge(u, v):
             # The old weight rides along so programs can test whether a
@@ -208,6 +221,8 @@ def apply_delta(fragmentation: Fragmentation,
             mutated_graphs.add(fu)
             fd(fu).deletions.append((u, v, w_old))
         maybe_retire(fu, v)
+        # On a vertex-cut u may be a copy at fu too (a no-op for owners).
+        maybe_retire(fu, u)
 
     def fix_inner(x: Node) -> None:
         """An owned node with no remaining copy elsewhere leaves
@@ -314,7 +329,7 @@ class ContinuousQuerySession:
     fragmentation through the engine (honoring its execution backend —
     under the process backend the re-run ships compact per-fragment
     deltas to the pooled workers, not whole fragments), and the session
-    re-baselines its coordinator tables from the fresh result.  The
+    adopts that run's :class:`~repro.core.exchange.BorderExchange`.  The
     session's :attr:`metrics` accumulate either way, with
     ``incremental_maintained`` / ``fallback_reruns`` recording the
     split.
@@ -336,6 +351,15 @@ class ContinuousQuerySession:
                 f"{type(program).__name__} neither implements "
                 "on_graph_update nor allows the recompute fallback; no "
                 "update could ever be applied to this standing query")
+        if hasattr(program, "apply_nonmonotone"):
+            missing = [hook for hook in BOUNDED_HOOKS
+                       if not hasattr(program, hook)]
+            if missing:
+                raise TypeError(
+                    f"{type(program).__name__} implements "
+                    f"apply_nonmonotone but not {', '.join(missing)}; the "
+                    "bounded update path needs all of "
+                    f"{', '.join(BOUNDED_HOOKS)}")
         if (graph is None) == (fragmentation is None):
             raise ValueError("pass exactly one of graph or fragmentation")
         self.engine = engine
@@ -348,33 +372,14 @@ class ContinuousQuerySession:
         self.states = result.states
         self.answer = result.answer
         self.metrics = result.metrics
-        # Entry sizes recur across maintenance rounds; memoize for the
-        # session's lifetime.
-        self._sizer = ParamSizeCache()
-        self._reported: Dict[int, ParamUpdates] = {}
-        self._table: Dict[ParamKey, Any] = {}
+        #: the coordinator tables, adopted from the run that reached the
+        #: fixpoint and kept current by every maintenance round
+        self.exchange = result.exchange
         # Set when an opt-out program rejected a non-maintainable batch
         # *after* the fragmentation was mutated: the converged state no
         # longer matches the graph, and folding later (even monotone)
         # batches into it would be silently wrong.
         self._stale = False
-        self._rebaseline()
-
-    def _rebaseline(self) -> None:
-        """Rebuild the coordinator tables from the converged states."""
-        program, query = self.program, self.query
-        self._reported.clear()
-        self._table.clear()
-        for frag in self.fragmentation:
-            params = program.read_update_params(query, frag,
-                                                self.states[frag.fid])
-            self._reported[frag.fid] = params
-            for key, value in params.items():
-                if key in self._table:
-                    self._table[key] = program.aggregator.combine(
-                        self._table[key], value)
-                else:
-                    self._table[key] = value
 
     # ------------------------------------------------------------------
     def update(self, delta: GraphDelta) -> Any:
@@ -454,54 +459,46 @@ class ContinuousQuerySession:
                                     self.states[fid], delta)
         local_s = time.perf_counter() - start
 
-        frags = self.fragmentation.fragments
         # Full-diff collect: the batch may have promoted nodes into
         # border sets of fragments that received no edges, which the
         # programs' own dirty tracking cannot see.
-        up_bytes, up_msgs, dirty = self.engine._collect_reports(
-            program, query, frags, self.states, self._reported,
-            self._table, checker, first_round=False, sizer=self._sizer,
-            force_full=True)
-        messages = self.engine._compose_messages(
-            program, self.fragmentation, self._reported, dirty,
-            self._table)
-        self.metrics.record_superstep([local_s], up_bytes, up_msgs,
-                                      self.engine.config.cost_model
-                                      or _DEFAULT_COST)
-        self._resume_fixpoint(messages, checker)
-        self.answer = program.assemble(query, self.fragmentation,
-                                       self.states)
-        return self.answer
+        folded = self.exchange.fold_states(query, self.states, checker,
+                                           force_full=True)
+        return self._resume_fixpoint(local_s, folded, checker)
 
-    def _resume_fixpoint(self, messages, checker) -> None:
-        """Run the maintenance message loop to a fixpoint (shared by the
-        monotone fast path and the bounded non-monotone path — after a
-        region reset every further change is a plain aggregator
-        improvement, so the same loop drains both)."""
+    def _resume_fixpoint(self, local_s: float, folded, checker) -> Any:
+        """Charge the local maintenance step (``local_s`` of compute and
+        the ``(bytes, messages, dirty keys)`` it folded), run the
+        message loop to a fixpoint and assemble the refreshed answer.
+        Shared by the monotone fast path and the bounded non-monotone
+        path — after a region reset every further change is a plain
+        aggregator improvement, so the same loop drains both."""
         program, query = self.program, self.query
+        exchange = self.exchange
         frags = self.fragmentation.fragments
+        cost = self.engine.config.cost_model or _DEFAULT_COST
+        up_bytes, up_msgs, dirty = folded
+        messages = exchange.compose(dirty)
+        self.metrics.record_superstep([local_s], up_bytes, up_msgs, cost)
         rounds = 0
         while messages:
             rounds += 1
             if rounds > self.engine.config.max_supersteps:
                 raise RuntimeError("maintenance did not reach a fixpoint")
-            down_bytes = sum(self._sizer.updates_bytes(msg)
-                             for msg in messages.values())
+            down_bytes = exchange.charge_messages(messages)
             times = []
             for fid, msg in messages.items():
                 t0 = time.perf_counter()
                 program.inceval(query, frags[fid], self.states[fid], msg)
                 times.append(time.perf_counter() - t0)
-            up_bytes, up_msgs, dirty = self.engine._collect_reports(
-                program, query, frags, self.states, self._reported,
-                self._table, checker, first_round=False,
-                sizer=self._sizer)
-            messages = self.engine._compose_messages(
-                program, self.fragmentation, self._reported, dirty,
-                self._table)
+            up_bytes, up_msgs, dirty = exchange.fold_states(
+                query, self.states, checker)
+            messages = exchange.compose(dirty)
             self.metrics.record_superstep(
-                times, down_bytes + up_bytes, len(messages) + up_msgs,
-                self.engine.config.cost_model or _DEFAULT_COST)
+                times, down_bytes + up_bytes, len(messages) + up_msgs, cost)
+        self.answer = program.assemble(query, self.fragmentation,
+                                       self.states)
+        return self.answer
 
     def _maintain_bounded(self, touched: Dict[int, FragmentDelta]) -> Any:
         """Bounded non-monotone maintenance: reset *only* the affected
@@ -546,8 +543,7 @@ class ContinuousQuerySession:
            is missing from the probe read, so the stale entry it
            shipped earlier is dropped from the table (peers are charged
            a tombstone entry for it).  The cost is ``O(|AFF| +
-           |batch|)``, not ``O(border)``; programs without the
-           ``report_entries`` hook fall back to a full-report diff;
+           |batch|)``, not ``O(border)``;
         5. the standard monotone message loop resumes — every change
            after the reset is a plain aggregator improvement.
         """
@@ -562,7 +558,8 @@ class ContinuousQuerySession:
         # names, so this is a tiny set — probing reported claims by
         # constructed key costs O(|grown|), not an O(border) index
         # build per batch).
-        param_names = {key[1] for key in self._table}
+        exchange = self.exchange
+        param_names = {key[1] for key in exchange.table}
 
         # Seeds: per-fragment direct hits, or — when the program offers
         # the driver-side batch hook — direct hits filtered with a view
@@ -596,7 +593,7 @@ class ContinuousQuerySession:
                                                 fresh)
                 grown -= known
                 known |= grown
-                reported = self._reported.get(frag.fid)
+                reported = exchange.reported[frag.fid]
                 if not reported:
                     continue
                 for node in grown:
@@ -606,16 +603,14 @@ class ContinuousQuerySession:
                         key = (node, name)
                         value = reported.get(key, _MISSING)
                         if value is not _MISSING and \
-                                self._table.get(key, _MISSING) == value:
+                                exchange.table.get(key, _MISSING) == value:
                             round_promotions.add(node)
                             break
             promoted |= round_promotions
             for frag in frags:
                 work[frag.fid] |= round_promotions - local_aff[frag.fid]
 
-        global_aff: Set[Node] = set()
-        for aff in local_aff.values():
-            global_aff |= aff
+        global_aff: Set[Node] = set().union(*local_aff.values())
         self.metrics.partial_resets += 1
         self.metrics.affected_vertices += len(global_aff)
 
@@ -628,154 +623,59 @@ class ContinuousQuerySession:
                                           aff)
         local_s = time.perf_counter() - start
 
-        if hasattr(program, "report_entries"):
-            up_bytes, up_msgs, dirty = self._rebaseline_region(
-                touched, local_aff, global_aff, param_names)
-        else:
-            up_bytes, up_msgs, dirty = self._rebaseline_bounded_full(
-                global_aff)
-        messages = self.engine._compose_messages(
-            program, self.fragmentation, self._reported, dirty,
-            self._table)
-        self.metrics.record_superstep([local_s], up_bytes, up_msgs,
-                                      self.engine.config.cost_model
-                                      or _DEFAULT_COST)
-        self._resume_fixpoint(messages, checker)
-        self.answer = program.assemble(query, self.fragmentation,
-                                       self.states)
-        return self.answer
+        return self._resume_fixpoint(
+            local_s, self._rebaseline_region(touched, local_aff, global_aff,
+                                             param_names), checker)
 
     def _rebaseline_region(self, touched: Dict[int, FragmentDelta],
                            local_aff: Dict[int, Set[Node]],
                            global_aff: Set[Node],
                            param_names: Set[Any]) -> Tuple[int, int, Set]:
-        """Step 4 of :meth:`_maintain_bounded`, incremental flavor.
+        """Step 4 of :meth:`_maintain_bounded`.
 
-        Only keys the batch could have touched are re-read and
-        re-aggregated: each fragment's own dirty values (tracked by the
-        program through ``apply_nonmonotone``) plus a probe of the
-        vertices with structural exposure — reset, retired, moved
-        between border sets, or endpoints of mutated edges.  A probed
-        vertex whose entry is missing from the probe read retracts
-        (tombstone); everything else in the coordinator tables is
-        untouched.  Returns ``(bytes, messages, dirty keys)`` for the
-        resumed fixpoint.
+        Only keys the batch could have touched are re-read: each
+        fragment's own dirty values (tracked by the program through
+        ``apply_nonmonotone``) plus a probe of the vertices with
+        structural exposure — reset, retired, moved between border sets,
+        or endpoints of mutated edges.  The exchange folds the reads,
+        retracts probed entries that vanished and re-aggregates what
+        moved (:meth:`~repro.core.exchange.BorderExchange.fold_region`);
+        everything else in the coordinator tables is untouched.  Returns
+        ``(bytes, messages, dirty keys)`` for the resumed fixpoint.
         """
         program, query = self.program, self.query
-        frags = self.fragmentation.fragments
-        table = self._table
-        combine = program.aggregator.combine
-        up_bytes = 0
-        up_msgs = 0
-        recompute: Set = set()
-        for frag in frags:
+        fresh: Dict[int, ParamUpdates] = {}
+        probes: Dict[int, Set[Node]] = {}
+        for frag in self.fragmentation:
             fid = frag.fid
             state = self.states[fid]
-            prev = self._reported.setdefault(fid, {})
-            fresh = program.read_changed_params(query, frag, state)
-            fresh = dict(fresh) if fresh else {}
+            entries = program.read_changed_params(query, frag, state)
+            entries = dict(entries) if entries else {}
             probe = set(local_aff[fid])
             delta = touched.get(fid)
             if delta is not None:
-                probe.update(delta.retired_nodes)
-                probe.update(delta.inner_added)
-                probe.update(delta.inner_removed)
-                probe.update(delta.outer_added)
-                probe.update(delta.outer_removed)
-                for v, _label in delta.new_nodes:
-                    probe.add(v)
-                for u, v, _w in delta.insertions:
-                    probe.add(u)
-                    probe.add(v)
-                for u, v, _w in delta.deletions:
-                    probe.add(u)
-                    probe.add(v)
+                probe.update(delta.retired_nodes, delta.inner_added,
+                             delta.inner_removed, delta.outer_added,
+                             delta.outer_removed,
+                             (v for v, _label in delta.new_nodes))
+                for u, v, _w in delta.insertions + delta.deletions:
+                    probe.update((u, v))
             if probe:
-                fresh.update(program.report_entries(query, frag, state,
-                                                    probe))
-            diff = {}
-            for key, value in fresh.items():
-                if prev.get(key, _MISSING) != value:
-                    diff[key] = value
-                    prev[key] = value
-                    recompute.add(key)
-            # Retractions ship as key-only tombstones.
-            gone = {}
-            for node in probe:
-                for name in param_names:
-                    key = (node, name)
-                    if key in prev and key not in fresh:
-                        gone[key] = None
-                        del prev[key]
-                        recompute.add(key)
-            if diff or gone:
-                up_msgs += 1
-                up_bytes += self._sizer.updates_bytes(diff)
-                if gone:
-                    up_bytes += self._sizer.updates_bytes(gone)
-
-        # Dirty keys: aggregated values that moved, plus every key of an
-        # affected vertex — a reset owner must be re-offered surviving
-        # peer values even when the aggregate itself did not change.
-        reported = self._reported
-        dirty: Set = set()
-        for key in recompute:
-            best = _MISSING
-            for frag in frags:
-                value = reported[frag.fid].get(key, _MISSING)
-                if value is not _MISSING:
-                    best = value if best is _MISSING \
-                        else combine(best, value)
-            if best is _MISSING:
-                table.pop(key, None)
-            elif table.get(key, _MISSING) != best:
-                table[key] = best
-                dirty.add(key)
+                entries.update(program.report_entries(query, frag, state,
+                                                      probe))
+            fresh[fid] = entries
+            probes[fid] = probe
+        up_bytes, up_msgs, dirty = self.exchange.fold_region(
+            fresh, probes, param_names)
+        # Every key of an affected vertex is dirty too: a reset owner
+        # must be re-offered surviving peer values even when the
+        # aggregate itself did not change.
+        table = self.exchange.table
         for node in global_aff:
             for name in param_names:
                 key = (node, name)
                 if key in table:
                     dirty.add(key)
-        return up_bytes, up_msgs, dirty
-
-    def _rebaseline_bounded_full(self,
-                                 global_aff: Set[Node]) -> Tuple[int, int,
-                                                                 Set]:
-        """Step 4 of :meth:`_maintain_bounded`, full-report fallback for
-        programs without the ``report_entries`` probe hook: re-read every
-        fragment's complete parameter dict, diff against the previous
-        baseline (absences become tombstones) and rebuild the aggregated
-        table — correct for any program, at ``O(border)`` cost."""
-        program, query = self.program, self.query
-        frags = self.fragmentation.fragments
-        old_reported, old_table = self._reported, self._table
-        self._reported = {}
-        self._table = {}
-        up_bytes = 0
-        up_msgs = 0
-        for frag in frags:
-            _kind, params = read_report(program, query, frag,
-                                        self.states[frag.fid], True)
-            self._reported[frag.fid] = params
-            prev = old_reported.get(frag.fid, {})
-            diff = {k: v for k, v in params.items()
-                    if prev.get(k, _MISSING) != v}
-            # Retractions ship as key-only tombstones.
-            gone = {k: None for k in prev if k not in params}
-            if diff or gone:
-                up_msgs += 1
-                up_bytes += self._sizer.updates_bytes(diff)
-                if gone:
-                    up_bytes += self._sizer.updates_bytes(gone)
-            for key, value in params.items():
-                if key in self._table:
-                    self._table[key] = program.aggregator.combine(
-                        self._table[key], value)
-                else:
-                    self._table[key] = value
-        dirty = {k for k, v in self._table.items()
-                 if old_table.get(k, _MISSING) != v}
-        dirty |= {k for k in self._table if k[0] in global_aff}
         return up_bytes, up_msgs, dirty
 
     def _recompute(self) -> Any:
@@ -798,5 +698,5 @@ class ContinuousQuerySession:
         # Fold the re-run's cost into the session's cumulative metrics
         # in place (WatchHandle holds a reference to the object).
         self.metrics.absorb(result.metrics)
-        self._rebaseline()
+        self.exchange = result.exchange
         return self.answer

@@ -60,19 +60,24 @@ class Fragment:
         ``F_i.I`` — owned border nodes reachable from other fragments.
     outer:
         ``F_i.O`` — copied nodes owned elsewhere.
+    vertex_cut:
+        The fragment comes from a vertex-cut: any copy of a replicated
+        node may carry local out-edges, not only the owner's.
     """
 
-    __slots__ = ("fid", "graph", "owned", "inner", "outer",
+    __slots__ = ("fid", "graph", "owned", "inner", "outer", "vertex_cut",
                  "_csr", "_csr_lock", "_csr_shared", "_remote_csr_live",
                  "csr_epoch", "csr_builds", "csr_invalidations")
 
     def __init__(self, fid: int, graph: Graph, owned: Set[Node],
-                 inner: Set[Node], outer: Set[Node]):
+                 inner: Set[Node], outer: Set[Node], *,
+                 vertex_cut: bool = False):
         self.fid = fid
         self.graph = graph
         self.owned = owned
         self.inner = inner
         self.outer = outer
+        self.vertex_cut = vertex_cut
         self._csr = None
         # GrapeService runs concurrent queries over one shared cached
         # fragmentation (they hold only the graph's read lock), so the
@@ -101,11 +106,12 @@ class Fragment:
         so the reset is invisible.
         """
         return {slot: getattr(self, slot) for slot in
-                ("fid", "graph", "owned", "inner", "outer")}
+                ("fid", "graph", "owned", "inner", "outer", "vertex_cut")}
 
     def __setstate__(self, state):
         self.__init__(state["fid"], state["graph"], state["owned"],
-                      state["inner"], state["outer"])
+                      state["inner"], state["outer"],
+                      vertex_cut=state["vertex_cut"])
 
     def csr(self):
         """Frozen CSR snapshot of the local graph, built lazily.
@@ -211,6 +217,14 @@ class Fragment:
     def border_nodes(self) -> Set[Node]:
         """``F_i.I ∪ F_i.O`` (paper Section 2)."""
         return self.inner | self.outer
+
+    @property
+    def published(self) -> Set[Node]:
+        """The copies whose values an owner-routed program reports:
+        ``F_i.O`` on an edge-cut, where only the owner stores a node's
+        out-edges; every replicated node on a vertex-cut, where each
+        copy both derives values and consumes them."""
+        return self.inner | self.outer if self.vertex_cut else self.outer
 
     @property
     def num_nodes(self) -> int:
@@ -429,7 +443,10 @@ class Fragmentation:
 
         covered_edges: Set[Tuple[Node, Node]] = set()
         for frag in self.fragments:
-            for u, v, _w in frag.graph.edges():
+            for u, v, w in frag.graph.edges():
+                assert self.graph.has_edge(u, v) and \
+                    self.graph.edge_weight(u, v) == w, \
+                    f"fragment {frag.fid} stores stale edge {(u, v, w)}"
                 covered_edges.add((u, v))
                 if not self.graph.directed:
                     covered_edges.add((v, u))
@@ -564,7 +581,8 @@ def build_vertex_cut_fragments(graph: Graph,
                     outer[fid].add(v)
 
     fragments = [Fragment(fid, locals_[fid], owned[fid], inner[fid],
-                          outer[fid]) for fid in range(num_fragments)]
+                          outer[fid], vertex_cut=True)
+                 for fid in range(num_fragments)]
     return Fragmentation(graph, fragments, strategy_name=strategy_name)
 
 

@@ -40,7 +40,8 @@ class BFSState:
     """Per-fragment state: hop counts (absent = unreached)."""
 
     hops: Dict[Node, int] = field(default_factory=dict)
-    #: outer border nodes whose hop count changed since the last report
+    #: published border copies (``Fragment.published``) whose hop count
+    #: changed since the last report
     dirty: Set[Node] = field(default_factory=set)
     #: dense-id mirror of ``hops`` for the CSR kernel
     _arr: Optional[np.ndarray] = None
@@ -83,7 +84,8 @@ class BFSProgram(PIEProgram):
 
     def peval(self, query: Node, fragment: Fragment,
               state: BFSState) -> None:
-        before = {v: state.hops[v] for v in fragment.outer
+        published = fragment.published
+        before = {v: state.hops[v] for v in published
                   if v in state.hops}
         if self.use_csr:
             self._peval_csr(query, fragment, state)
@@ -96,7 +98,7 @@ class BFSProgram(PIEProgram):
                 # and NI-mode re-runs seeded by applied messages).
                 _bfs_from(fragment, state.hops, list(state.hops))
             state._arr = None
-        for v in fragment.outer:
+        for v in published:
             if state.hops.get(v, _FAR) != before.get(v, _FAR):
                 state.dirty.add(v)
 
@@ -126,8 +128,9 @@ class BFSProgram(PIEProgram):
                     frontier.append(v)
             changed = _bfs_from(fragment, state.hops, frontier)
             changed.update(frontier)
+        published = fragment.published
         for v in changed:
-            if v in fragment.outer:
+            if v in published:
                 state.dirty.add(v)
 
     @staticmethod
@@ -196,8 +199,9 @@ class BFSProgram(PIEProgram):
             state._arr = None
             changed = _bfs_from(fragment, hops, frontier)
             changed.update(frontier)
+            published = fragment.published
             for v in changed:
-                if v in fragment.outer:
+                if v in published:
                     state.dirty.add(v)
 
     # ------------------------------------------------------------------
@@ -305,9 +309,9 @@ class BFSProgram(PIEProgram):
             frontier.append(v)
         changed = _bfs_from(fragment, hops, frontier)
         changed.update(frontier)
-        outer = fragment.outer
+        published = fragment.published
         for v in changed:
-            if v in outer:
+            if v in published:
                 state.dirty.add(v)
 
     def _apply_nonmonotone_csr(self, query: Node, fragment: Fragment,
@@ -331,16 +335,16 @@ class BFSProgram(PIEProgram):
                     seeds[vid] = hu + 1
         _arr, changed_ids = csr_bfs(csr, seeds, arr)
         node_of = csr.node_of
-        outer = fragment.outer
+        published = fragment.published
         for vid, h in zip(changed_ids.tolist(), arr[changed_ids].tolist()):
             node = node_of[vid]
             hops[node] = h
-            if node in outer:
+            if node in published:
                 state.dirty.add(node)
 
     def read_update_params(self, query: Node, fragment: Fragment,
                            state: BFSState) -> ParamUpdates:
-        return {(v, "hop"): state.hops[v] for v in fragment.outer
+        return {(v, "hop"): state.hops[v] for v in fragment.published
                 if v in state.hops}
 
     def report_entries(self, query: Node, fragment: Fragment,
@@ -349,9 +353,9 @@ class BFSProgram(PIEProgram):
         session's incremental rebaseline probes exactly the vertices a
         non-monotone batch could have touched."""
         hops = state.hops
-        outer = fragment.outer
+        published = fragment.published
         return {(v, "hop"): hops[v] for v in nodes
-                if v in outer and v in hops}
+                if v in published and v in hops}
 
     def read_changed_params(self, query: Node, fragment: Fragment,
                             state: BFSState) -> ParamUpdates:

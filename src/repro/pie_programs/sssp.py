@@ -40,7 +40,8 @@ class SSSPState:
     """Per-fragment state: the declared ``dist(s, v)`` variables."""
 
     dist: Dict[Node, float] = field(default_factory=dict)
-    #: outer border nodes whose distance changed since the last report
+    #: published border copies (``Fragment.published``) whose distance
+    #: changed since the last report
     dirty: Set[Node] = field(default_factory=set)
     #: dense-id mirror of ``dist`` for the CSR kernels, rebuilt when the
     #: fragment's snapshot epoch moves or the dict was mutated directly
@@ -54,8 +55,9 @@ class SSSPProgram(PIEProgram):
     name = "SSSP"
     aggregator = MinAggregator()
     supports_csr = True
-    # F_i.O copies carry no local out-edges, so updates only need to reach
-    # the owning fragment (the paper routes dist to F_j.I owners).
+    # On an edge-cut F_i.O copies carry no local out-edges, so updates
+    # only need to reach the owning fragment (the paper routes dist to
+    # F_j.I owners); on a vertex-cut the exchange routes to every holder.
     route_to = "owner"
 
     def __init__(self, use_csr: bool = True):
@@ -68,14 +70,15 @@ class SSSPProgram(PIEProgram):
 
     def peval(self, query: Node, fragment: Fragment,
               state: SSSPState) -> None:
-        before = {v: state.dist[v] for v in fragment.outer
+        published = fragment.published
+        before = {v: state.dist[v] for v in published
                   if v in state.dist}
         if self.use_csr:
             self._peval_csr(query, fragment, state)
         else:
             state.dist = dijkstra(fragment.graph, query, initial=state.dist)
             state._arr = None
-        for v in fragment.outer:
+        for v in published:
             if state.dist.get(v, inf) != before.get(v, inf):
                 state.dirty.add(v)
 
@@ -108,8 +111,9 @@ class SSSPProgram(PIEProgram):
         else:
             changed = incremental_sssp_decrease(fragment.graph, state.dist,
                                                 updates)
+        published = fragment.published
         for v in changed:
-            if v in fragment.outer:
+            if v in published:
                 state.dirty.add(v)
 
     @staticmethod
@@ -188,8 +192,9 @@ class SSSPProgram(PIEProgram):
             state._arr = None
             changed = incremental_sssp_decrease(fragment.graph, state.dist,
                                                 updates)
+            published = fragment.published
             for v in changed:
-                if v in fragment.outer:
+                if v in published:
                     state.dirty.add(v)
 
     # ------------------------------------------------------------------
@@ -314,9 +319,9 @@ class SSSPProgram(PIEProgram):
                 du = 0.0 if u == query else dist.get(u, inf)
                 offer(v, du + w)
         changed = incremental_sssp_decrease(graph, dist, seeds)
-        outer = fragment.outer
+        published = fragment.published
         for v in changed:
-            if v in outer:
+            if v in published:
                 state.dirty.add(v)
 
     def _apply_nonmonotone_csr(self, query: Node, fragment: Fragment,
@@ -341,18 +346,18 @@ class SSSPProgram(PIEProgram):
                     seeds[vid] = alt
         _arr, changed_ids = csr_sssp(csr, seeds, arr)
         node_of = csr.node_of
-        outer = fragment.outer
+        published = fragment.published
         for vid, d in zip(changed_ids.tolist(), arr[changed_ids].tolist()):
             node = node_of[vid]
             dist[node] = d
-            if node in outer:
+            if node in published:
                 state.dirty.add(node)
 
     def read_update_params(self, query: Node, fragment: Fragment,
                            state: SSSPState) -> ParamUpdates:
         # C_i = F_i.O; infinite estimates carry no information and are
         # never shipped.
-        return {(v, "dist"): state.dist[v] for v in fragment.outer
+        return {(v, "dist"): state.dist[v] for v in fragment.published
                 if state.dist.get(v, inf) < inf}
 
     def report_entries(self, query: Node, fragment: Fragment,
@@ -361,9 +366,9 @@ class SSSPProgram(PIEProgram):
         session's incremental rebaseline probes exactly the vertices a
         non-monotone batch could have touched."""
         dist = state.dist
-        outer = fragment.outer
+        published = fragment.published
         return {(v, "dist"): dist[v] for v in nodes
-                if v in outer and dist.get(v, inf) < inf}
+                if v in published and dist.get(v, inf) < inf}
 
     def read_changed_params(self, query: Node, fragment: Fragment,
                             state: SSSPState) -> ParamUpdates:

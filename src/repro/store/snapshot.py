@@ -230,6 +230,7 @@ def save_snapshot(path: Union[str, Path], graph: Graph, *,
                 "owned": list(frag.owned),
                 "inner": list(frag.inner),
                 "outer": list(frag.outer),
+                "vertex_cut": frag.vertex_cut,
             })
     blob = pickle.dumps(obj_meta, protocol=pickle.HIGHEST_PROTOCOL)
     arrays["pickled_meta"] = np.frombuffer(blob, dtype=np.uint8)
@@ -292,7 +293,8 @@ def load_snapshot(path: Union[str, Path]) -> LoadedSnapshot:
             local = _unpack_graph(prefix, arrays, obj_meta)
             fm = obj_meta[prefix]
             frag = Fragment(fid, local, set(fm["owned"]),
-                            set(fm["inner"]), set(fm["outer"]))
+                            set(fm["inner"]), set(fm["outer"]),
+                            vertex_cut=fm.get("vertex_cut", False))
             gm = fm
             # The stored arrays *are* a current CSR snapshot: install it
             # so a warm-started service serves its first kernel query

@@ -17,7 +17,8 @@ from repro.sequential import (canonical_match, connected_components,
 
 class TestAsyncConfig:
     def test_invalid_worker_count(self):
-        with pytest.raises(ValueError):
+        # Rejected by EngineConfig, the one place worker counts are checked.
+        with pytest.raises(ValueError, match="at least one worker"):
             AsyncGrapeEngine(0)
 
     def test_virtual_less_than_physical(self):
@@ -29,9 +30,21 @@ class TestAsyncConfig:
             AsyncGrapeEngine(2).run(SSSPProgram(), query=0)
 
     def test_activation_budget(self, small_road):
-        engine = AsyncGrapeEngine(4, max_activations=3)
+        # max_supersteps bounds activations: barrier-free runs have no
+        # supersteps to count.
+        engine = AsyncGrapeEngine(4, max_supersteps=3)
         with pytest.raises(RuntimeError, match="no fixpoint"):
             engine.run(SSSPProgram(), query=0, graph=small_road)
+
+    def test_rejects_bsp_only_options(self):
+        with pytest.raises(TypeError, match="backend"):
+            AsyncGrapeEngine(2, backend="process")
+
+    def test_config_is_an_engine_config(self):
+        engine = AsyncGrapeEngine(2, num_fragments=6,
+                                  partition=MetisLikePartition())
+        assert engine.config.effective_fragments == 6
+        assert isinstance(engine.config.partition, MetisLikePartition)
 
 
 class TestAsyncEqualsSync:

@@ -45,6 +45,13 @@ class TestEngineConfig:
             EngineConfig(num_workers=2).replace(num_workers=4,
                                                 num_fragments=2)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_config_rejects_worker_count_below_one(self, n):
+        with pytest.raises(ValueError, match="at least one worker"):
+            EngineConfig(num_workers=n)
+        with pytest.raises(ValueError, match="at least one worker"):
+            GrapeEngine(n)
+
     def test_unset_partition_resolves_to_hash(self):
         assert type(EngineConfig().partition) is HashPartition
         assert type(GrapeEngine(2).config.partition) is HashPartition

@@ -40,6 +40,14 @@ class FrozenSim(SimProgram):
     recompute_fallback = False
 
 
+class HalfBoundedSim(SimProgram):
+    """A plug-in with ``apply_nonmonotone`` but none of the other three
+    bounded-path hooks."""
+
+    def apply_nonmonotone(self, query, fragment, state, delta, affected):
+        raise AssertionError("a half-bounded program must never run")
+
+
 class TestApplyInsertions:
     def test_edge_lands_at_owner(self, small_road):
         engine = GrapeEngine(4)
@@ -558,4 +566,11 @@ class TestSessionErrors:
             self, small_labeled, tiny_pattern):
         with pytest.raises(TypeError, match="on_graph_update"):
             ContinuousQuerySession(GrapeEngine(2), FrozenSim(),
+                                   tiny_pattern, small_labeled)
+
+    def test_partial_bounded_hooks_rejected_at_construction(
+            self, small_labeled, tiny_pattern):
+        with pytest.raises(TypeError, match="affected_seeds, "
+                           "expand_affected, report_entries"):
+            ContinuousQuerySession(GrapeEngine(2), HalfBoundedSim(),
                                    tiny_pattern, small_labeled)

@@ -15,8 +15,6 @@ single-kind non-monotone batch to a standing session and assert that
 
 from __future__ import annotations
 
-from collections import deque
-
 import pytest
 
 from repro.core.engine import GrapeEngine
@@ -24,32 +22,11 @@ from repro.core.updates import ContinuousQuerySession
 from repro.graph.delta import GraphDelta
 from repro.graph.generators import uniform_random_graph
 from repro.pie_programs import BFSProgram, CCProgram, SSSPProgram
-from repro.sequential import connected_components, sssp_distances
+from repro.sequential import sssp_distances
 
-from .harness import BACKENDS, normalize
+from .harness import BACKENDS, bfs_oracle, cc_oracle, normalize
 
 OPS = ("delete", "increase")
-
-
-def bfs_oracle(g, source):
-    hops = {v: -1 for v in g.nodes()}
-    if g.has_node(source):
-        hops[source] = 0
-        dq = deque([source])
-        while dq:
-            v = dq.popleft()
-            for w in g.successors(v):
-                if hops[w] == -1:
-                    hops[w] = hops[v] + 1
-                    dq.append(w)
-    return hops
-
-
-def cc_oracle(g):
-    buckets = {}
-    for v, c in connected_components(g).items():
-        buckets.setdefault(c, set()).add(v)
-    return buckets
 
 
 #: (program factory, query, oracle, operation kinds that invalidate)

@@ -15,7 +15,10 @@ Two properties, both the incremental-view discipline of Berkholz et al.:
 * **mixed fuzz** — the same with deletions and weight increases in the
   batches, exercising the maintainable-vs-recompute dispatch, border-set
   retirement under ``ΔG⁻`` and (under the process backend) worker-side
-  delta replay, across every ``(backend × use_csr)`` combination.
+  delta replay, across every ``(backend × use_csr)`` combination, and
+  across every partition strategy × fragment count on the serial
+  backend — there also against the sequential oracles on the mutated
+  graph.
 """
 
 from __future__ import annotations
@@ -29,9 +32,12 @@ from repro.core.engine import GrapeEngine
 from repro.core.updates import ContinuousQuerySession
 from repro.graph.delta import GraphDelta
 from repro.graph.generators import uniform_random_graph
+from repro.partition.strategies import get_strategy
 from repro.pie_programs import BFSProgram, CCProgram, SSSPProgram
+from repro.sequential import sssp_distances
 
-from .harness import BACKENDS, CSR_MODES, normalize
+from .harness import (BACKENDS, CSR_MODES, FRAGMENT_COUNTS, STRATEGY_NAMES,
+                      bfs_oracle, cc_oracle, normalize)
 
 EdgeBatch = List[Tuple[Any, Any, float]]
 OpBatch = List[Tuple]
@@ -213,37 +219,54 @@ def _random_op_batches(seed: int, reference, *, num_batches: int = 3,
     return batches
 
 
+def _engine(backend, strategy, m) -> GrapeEngine:
+    partition = get_strategy(strategy) if strategy is not None else None
+    return GrapeEngine(min(m, 3), num_fragments=m, partition=partition,
+                       backend=backend)
+
+
 def _mixed_scenario_answers(make_program, query, graph_factory, backend,
-                            use_csr, ops: OpBatch):
-    engine = GrapeEngine(3, backend=backend)
-    session = ContinuousQuerySession(engine,
+                            use_csr, ops: OpBatch, strategy=None, m=3,
+                            oracle=None):
+    """Apply ``ops`` as one batch; return (maintained answer, reference)
+    where the reference is the oracle's answer on the mutated graph when
+    ``oracle`` is given, else a from-scratch run on the mutated
+    fragmentation."""
+    session = ContinuousQuerySession(_engine(backend, strategy, m),
                                      make_program(use_csr=use_csr), query,
                                      graph=graph_factory())
     if ops:
         session.update(GraphDelta(ops))
     maintained = normalize(session.answer)
-    scratch = GrapeEngine(3, backend=backend).run(
+    if oracle is not None:
+        return maintained, normalize(oracle(session.fragmentation.graph))
+    scratch = _engine(backend, strategy, m).run(
         make_program(use_csr=use_csr), query,
         fragmentation=session.fragmentation)
     return maintained, normalize(scratch.answer)
 
 
 def _fails_mixed(make_program, query, graph_factory, backend, use_csr,
-                 ops) -> bool:
-    maintained, scratch = _mixed_scenario_answers(
-        make_program, query, graph_factory, backend, use_csr, ops)
-    return maintained != scratch
+                 ops, strategy=None, m=3, oracle=None) -> bool:
+    maintained, reference = _mixed_scenario_answers(
+        make_program, query, graph_factory, backend, use_csr, ops,
+        strategy, m, oracle)
+    return maintained != reference
 
 
 def _fuzz_mixed(make_program, query, graph_factory, backend, use_csr,
                 seed, new_node=None, insert_rate=0.35,
-                delete_rate=0.25) -> None:
+                delete_rate=0.25, strategy=None, m=3, oracle=None) -> None:
+    """Mixed batches against a standing query: after every batch the
+    maintained answer must equal a from-scratch run on the mutated
+    fragmentation and, when ``oracle`` is given, the sequential oracle
+    on the mutated graph.  ``strategy``/``m`` pick the partition (hash
+    edge-cut over three fragments by default)."""
     batches = _random_op_batches(seed, graph_factory(), new_node=new_node,
                                  insert_rate=insert_rate,
                                  delete_rate=delete_rate)
     applied: OpBatch = []
-    engine = GrapeEngine(3, backend=backend)
-    session = ContinuousQuerySession(engine,
+    session = ContinuousQuerySession(_engine(backend, strategy, m),
                                      make_program(use_csr=use_csr), query,
                                      graph=graph_factory())
     for batch in batches:
@@ -251,18 +274,23 @@ def _fuzz_mixed(make_program, query, graph_factory, backend, use_csr,
         applied.extend(batch)
         session.fragmentation.validate()
         maintained = normalize(session.answer)
-        scratch = normalize(GrapeEngine(3, backend=backend).run(
+        scratch = normalize(_engine(backend, strategy, m).run(
             make_program(use_csr=use_csr), query,
             fragmentation=session.fragmentation).answer)
-        if maintained != scratch:
+        truth = (normalize(oracle(session.fragmentation.graph))
+                 if oracle is not None else scratch)
+        if maintained != scratch or scratch != truth:
             minimal = _shrink(
                 lambda subset: _fails_mixed(make_program, query,
                                             graph_factory, backend,
-                                            use_csr, subset),
+                                            use_csr, subset, strategy, m,
+                                            oracle),
                 applied)
             pytest.fail(
-                f"maintenance diverged from recomputation "
-                f"(backend={backend!r}, use_csr={use_csr}, seed={seed}); "
+                f"maintenance diverged from "
+                f"{'recomputation' if maintained != scratch else 'the oracle'}"
+                f" (backend={backend!r}, use_csr={use_csr}, seed={seed}, "
+                f"partition={strategy or 'hash'}, m={m}); "
                 f"minimal failing op batch ({len(minimal)} of "
                 f"{len(applied)} ops, replay with GraphDelta(this list)): "
                 f"{minimal}")
@@ -328,6 +356,36 @@ def test_cc_mixed_fuzz(backend, use_csr, seed):
                                              seed=4000 + seed),
                 backend, use_csr, seed,
                 new_node=lambda s, i: n + 100 * s + i)
+
+
+#: (program factory, query, oracle, graph factory, new-node minting) for
+#: the partition-axis fuzz; CC mints integer ids (component ids are node
+#: values and must stay totally ordered under the min aggregator)
+ANY_PARTITION = {
+    "sssp": (SSSPProgram, 0, lambda g: sssp_distances(g, 0),
+             lambda: uniform_random_graph(50, 150, seed=8100), None),
+    "bfs": (BFSProgram, 0, lambda g: bfs_oracle(g, 0),
+            lambda: uniform_random_graph(50, 150, seed=8200), None),
+    "cc": (CCProgram, None, cc_oracle,
+           lambda: uniform_random_graph(50, 70, directed=False, seed=8300),
+           lambda s, i: 150 + 100 * s + i),
+}
+
+
+@pytest.mark.parametrize("m", FRAGMENT_COUNTS)
+@pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+@pytest.mark.parametrize("program_key", sorted(ANY_PARTITION))
+def test_mixed_fuzz_any_partition(program_key, strategy, m):
+    """The Assurance Theorem's "for any P" under updates: mixed batches
+    on every partition strategy × fragment count (vertex-cut included,
+    where an edge may live at any holder of its endpoints), checked
+    against the sequential oracles."""
+    make_program, query, oracle, graph_factory, new_node = \
+        ANY_PARTITION[program_key]
+    # The batch seed follows m, so each fragment count sees other ops.
+    _fuzz_mixed(make_program, query, graph_factory, "serial", True,
+                seed=m, new_node=new_node, strategy=strategy, m=m,
+                oracle=oracle)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -1,5 +1,6 @@
 """GrapeService: the plug-and-play serving facade."""
 
+import random
 from collections import deque
 
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from repro.core.api import PIERegistry
 from repro.core.engine import EngineConfig
 from repro.core.pie import PIEProgram
-from repro.graph.generators import grid_road_graph
-from repro.partition.strategies import HashPartition, RangePartition
+from repro.graph.generators import grid_road_graph, uniform_random_graph
+from repro.partition.strategies import (HashPartition, RangePartition,
+                                        VertexCutPartition)
 from repro.pie_programs import SSSPProgram
 from repro.sequential import sssp_distances
 from repro.service import GrapeService, QueryRequest
@@ -358,6 +360,34 @@ class TestWatchAndUpdates:
         assert frag.cache_token == token
         assert [f.csr_epoch for f in frag] == epochs
         assert service.stats.updates_applied == updates_before
+
+
+class TestVertexCutUpdates:
+    """On a vertex-cut an edge lives at whichever holder of its endpoints
+    it was assigned to, not necessarily at its source's owner; updates
+    must find it there."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_deletions_reweights_and_reinsertions(self, seed):
+        graph = uniform_random_graph(120, 360, seed=seed)
+        engine = EngineConfig(num_workers=2, num_fragments=4,
+                              partition=VertexCutPartition())
+        with GrapeService(engine=engine) as svc:
+            svc.load_graph("g", graph)
+            handle = svc.watch("sssp", 0, graph="g")
+            edges = sorted((u, v) for u, v, _w in graph.edges())
+            picked = random.Random(seed).sample(edges, 13)
+            deleted, reweighted = picked[:10], picked[10:]
+
+            svc.delete_edges("g", deleted)
+            svc.set_weights("g", [(u, v, graph.edge_weight(u, v) * 3.0)
+                                  for u, v in reweighted])
+            svc.insert_edges("g", [(u, v, 0.5) for u, v in deleted[:4]])
+
+            truth = sssp_distances(graph, 0)
+            assert handle.answer == truth
+            assert svc.play("sssp", 0, graph="g").answer == truth
+            svc.fragmentation("g").validate()
 
 
 class TestPlugPanel:
